@@ -50,17 +50,17 @@ lint: vet tabslint staticcheck
 
 FORCE:
 
-# Mirrors the CI bench smoke: one iteration of the group-commit sweep, a
-# 2-node 2-shard mini scale-out sweep (asserts steady-state lookups are
-# pure cache hits with zero broadcasts), a reduced commit-availability A/B
-# (asserts 2pc blocks and paxos resolves under coordinator kill, the shape
-# behind the checked-in BENCH_commit_availability.json), then the
+# Mirrors the CI bench smoke: one iteration of the WAL group-commit
+# benchmark, a 2-node 2-shard mini scale-out sweep (asserts steady-state
+# lookups are pure cache hits with zero broadcasts), a small
+# migrate-under-load run (asserts zero failed transactions), then the
 # allocation-regression gate — hot-path benchmarks run with -benchmem and
-# must stay within the checked-in ALLOC_BUDGET.txt.
+# must stay within the checked-in ALLOC_BUDGET.txt. Commit throughput and
+# the 2pc/paxos pair are covered by the benchmark/ smoke that `make test`
+# already runs; the coordinator-kill A/B by torture-smoke.
 bench-smoke:
-	$(GO) test -bench=GroupCommit -benchtime=1x ./internal/wal ./internal/bench
+	$(GO) test -bench=GroupCommit -benchtime=1x ./internal/wal
 	$(GO) test ./internal/bench -run TestShardingSmoke -count=1 -timeout 120s
-	$(GO) test ./internal/bench -run TestCommitAvailabilitySmoke -count=1 -timeout 120s
 	$(GO) test ./internal/bench -run TestMigrationSmoke -count=1 -timeout 120s
 	$(GO) run ./tools/allocgate -budget ALLOC_BUDGET.txt -bench 'AppendForce|EnvelopeEncode|LookUpCached' ./internal/wal ./internal/comm ./internal/nameserver
 
@@ -74,6 +74,8 @@ fuzz-smoke:
 # prepared transaction with the coordinator permanently dead — and the
 # online-migration torture: shards migrating between crash/rebooting data
 # nodes under live load, with zero lost client writes. Failures print the
-# seed (and fault trace) for reproduction. CI runs the same invocation.
+# seed (and fault trace) for reproduction; `tabsbench torture -seed N
+# -profile P` and `tabsbench coordkill` rerun one by hand. CI runs the
+# same invocation.
 torture-smoke:
 	$(GO) test ./internal/fault -run 'TestTortureSmoke|TestTorturePaxosSmoke|TestCoordKillBlockingWindow|TestTortureMigrateSmoke' -count=1 -timeout 300s -v

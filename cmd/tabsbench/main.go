@@ -1,22 +1,17 @@
-// Command tabsbench regenerates the tables of the paper's Section 5
-// evaluation: primitive operation times (Table 5-1), pre-commit and commit
-// primitive counts (Tables 5-2, 5-3), benchmark times with the Improved
-// Architecture and New Primitive Times projections (Table 5-4), and the
-// achievable primitive parameter set (Table 5-5).
+// Command tabsbench runs the repo's measuring and torture harnesses that
+// the top-level benchmark/ does not cover, one subcommand each:
 //
-// Usage:
+//	tabsbench tables                   # the paper's Section 5 tables (5-1..5-5) + ablations
+//	tabsbench tables -table 5-4 -iters 30 -metrics-json m.json
+//	tabsbench torture -seed 42 -profile chaos           # deterministic fault-injection run
+//	tabsbench torture -seed 42 -profile partition -commit-protocol paxos
+//	tabsbench torture -seed 42 -profile migrate         # online-migration torture
+//	tabsbench coordkill -commit-protocol paxos -phase decided
+//	tabsbench sharding -nodes 8        # 1->N scale-out sweep -> BENCH_sharding.json
+//	tabsbench migrate                  # migrate a shard under live load -> BENCH_migration.json
 //
-//	tabsbench                  # all tables
-//	tabsbench -table 5-4       # one table
-//	tabsbench -iters 30        # more iterations per benchmark
-//	tabsbench -metrics-json m.json   # also dump per-node trace metrics
-//	tabsbench -concurrency 16  # WAL group-commit throughput sweep instead
-//	tabsbench -group-commit=false    # paper-faithful synchronous log forces
-//	tabsbench -fault-seed 42 -fault-profile chaos   # deterministic torture run
-//	tabsbench -fault-seed 42 -fault-profile partition -commit-protocol paxos
-//	tabsbench -fault-seed 42 -fault-profile migrate  # online-migration torture
-//	tabsbench -migrate                 # migrate a shard under live load
-//	tabsbench -commit-avail 200    # 2pc-vs-paxos availability/latency A/B
+// Throughput and latency of the commit path itself (hot path, group
+// commit, 2pc vs paxos) are measured by `go run ./benchmark`.
 package main
 
 import (
@@ -33,260 +28,141 @@ import (
 	"tabs/internal/trace"
 )
 
-func main() {
-	table := flag.String("table", "all", "which table to regenerate: 5-1, 5-2, 5-3, 5-4, 5-5, ablations, or all")
-	iters := flag.Int("iters", 10, "measured transactions per benchmark")
-	metricsJSON := flag.String("metrics-json", "", "after the benchmarks, write per-node trace-layer metrics as JSON to this file ('-' for stdout)")
-	concurrency := flag.Int("concurrency", 0, "run the WAL group-commit throughput sweep up to this many concurrent committers (skips the tables)")
-	groupCommit := flag.Bool("group-commit", true, "enable WAL group commit; false forces one synchronous Stable Storage Write per log force, as the paper's TABS did")
-	benchJSON := flag.String("bench-json", "BENCH_wal_group_commit.json", "where -concurrency writes its sweep results as JSON")
-	benchTxns := flag.Int("bench-txns", 50, "transactions per committer goroutine in the -concurrency sweep")
-	hotpath := flag.Int("hotpath", 0, "run the CPU-bound hot-path throughput sweep up to this many workers (skips the tables)")
-	hotpathJSON := flag.String("hotpath-json", "BENCH_hotpath.json", "where -hotpath writes its sweep results as JSON")
-	hotpathBaseline := flag.String("hotpath-baseline", "", "prior -hotpath JSON to compute speedups against")
-	runs := flag.Int("runs", 3, "independent runs per sweep point (-hotpath, -shards); the median is reported")
-	shards := flag.Int("shards", 0, "run the sharded-namespace scale-out sweep up to this many nodes, one shard each (skips the tables)")
-	multiShardRatio := flag.Float64("multi-shard-ratio", 0.1, "fraction of transactions touching a second shard in the -shards sweep")
-	keys := flag.Uint64("keys", 1<<20, "global key-space size the -shards sweep partitions")
-	shardWorkers := flag.Int("shard-workers", 4, "worker goroutines homed on each node in the -shards sweep")
-	shardingJSON := flag.String("sharding-json", "BENCH_sharding.json", "where -shards writes its sweep results as JSON")
-	migrate := flag.Bool("migrate", false, "run the migrate-under-load benchmark (skips the tables)")
-	migrateJSON := flag.String("migrate-json", "BENCH_migration.json", "where -migrate writes its results as JSON")
-	migratePhase := flag.Duration("migrate-phase", 600*time.Millisecond, "baseline and recovery workload window around the -migrate move")
-	faultSeed := flag.Int64("fault-seed", 0, "run the fault-injection torture harness with this seed (skips the tables; 0 disables)")
-	faultProfile := flag.String("fault-profile", "chaos", "torture fault profile: "+strings.Join(append(fault.ProfileNames(), "migrate"), ", "))
-	faultNodes := flag.Int("fault-nodes", 3, "torture cluster size")
-	faultTxns := flag.Int("fault-txns", 200, "torture workload transactions")
-	commitProtocol := flag.String("commit-protocol", "2pc", "commit protocol for the torture harness: 2pc or paxos")
-	commitAvail := flag.Int("commit-avail", 0, "run the commit-availability A/B sweep (2pc vs paxos) with this many healthy transactions per protocol (skips the tables)")
-	commitAvailJSON := flag.String("commit-avail-json", "BENCH_commit_availability.json", "where -commit-avail writes its results as JSON")
-	resolveWait := flag.Duration("resolve-wait", 5*time.Second, "how long each -commit-avail coordinator-kill scenario waits for the survivors to resolve")
-	flag.Parse()
+// subcommands declare their flags on fs and return what to run once the
+// command line has been parsed into them.
+var subcommands = map[string]func(fs *flag.FlagSet) func() error{
+	"tables":    tables,
+	"torture":   torture,
+	"coordkill": coordkill,
+	"sharding":  sharding,
+	"migrate":   migrate,
+}
 
-	if *faultSeed != 0 {
-		if err := runTorture(*faultSeed, *faultProfile, *faultNodes, *faultTxns, *commitProtocol); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
+func main() {
+	if len(os.Args) < 2 || subcommands[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: tabsbench tables|torture|coordkill|sharding|migrate [flags]   (-h after a subcommand lists its flags)")
+		os.Exit(2)
 	}
-	if *migrate {
-		if err := runMigration(*faultNodes, *shardWorkers, *migratePhase, *migrateJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *commitAvail > 0 {
-		if err := runCommitAvail(*commitAvail, *resolveWait, *commitAvailJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shards > 0 {
-		if err := runSharding(*shards, *keys, *shardWorkers, *benchTxns, *runs, *multiShardRatio, *shardingJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hotpath > 0 {
-		if err := runHotPath(*hotpath, *benchTxns, *runs, *hotpathJSON, *hotpathBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *concurrency > 0 {
-		if err := runGroupCommit(*concurrency, *benchTxns, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tabsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*table, *iters, *metricsJSON, *groupCommit); err != nil {
+	fs := flag.NewFlagSet("tabsbench "+os.Args[1], flag.ExitOnError)
+	run := subcommands[os.Args[1]](fs)
+	_ = fs.Parse(os.Args[2:]) // ExitOnError: a bad flag has already exited
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "tabsbench:", err)
 		os.Exit(1)
 	}
 }
 
-// runTorture drives the deterministic crash/partition torture harness and
-// reports the outcome; a failing run exits nonzero with the seed and fault
-// trace so the exact schedule reproduces.
-func runTorture(seed int64, profile string, nodes, txns int, protocol string) error {
-	fmt.Fprintf(os.Stderr, "torture: seed=%d profile=%s nodes=%d txns=%d protocol=%s\n", seed, profile, nodes, txns, protocol)
-	if profile == "migrate" {
-		return runMigrateTorture(seed, nodes)
-	}
-	start := time.Now()
-	rep, err := fault.RunTorture(fault.TortureOptions{
-		Seed:           seed,
-		Nodes:          nodes,
-		Txns:           txns,
-		Profile:        profile,
-		CommitProtocol: protocol,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		},
-	})
-	if rep != nil {
-		fmt.Println(rep.String())
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("all invariants held in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runMigrateTorture drives the online-migration torture profile: shards
-// migrate between data nodes, data nodes crash and reboot, and every
-// worker write must commit (at worst after redirect retries).
-func runMigrateTorture(seed int64, nodes int) error {
-	start := time.Now()
-	rep, err := fault.RunMigrate(fault.MigrateOptions{
-		Seed:  seed,
-		Nodes: nodes,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		},
-	})
-	if rep != nil {
-		fmt.Println(rep.String())
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("all invariants held in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runMigration runs the migrate-under-load benchmark and records text +
-// JSON output (the throughput dip and redirect latency evidence).
-func runMigration(nodes, workers int, phase time.Duration, jsonPath string) error {
-	fmt.Fprintf(os.Stderr, "migrating a shard under live load (%d nodes, %d workers, %s windows)...\n", nodes, workers, phase)
-	res, err := bench.MeasureMigration(nodes, 0, workers, phase)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatMigration(res))
-	if jsonPath == "" {
+// writeJSON records a result as indented JSON: to path, to stdout for "-",
+// nowhere for an empty path.
+func writeJSON(path string, v any) error {
+	if path == "" {
 		return nil
 	}
-	blob, err := json.MarshalIndent(res, "", "  ")
+	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
+	if path == "-" {
+		_, err = os.Stdout.Write(append(blob, '\n'))
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
+	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
 }
 
-// runCommitAvail runs the commit-availability A/B (2pc vs paxos: healthy
-// latency plus coordinator-kill resolution) and records text + JSON output.
-func runCommitAvail(txns int, resolveWait time.Duration, jsonPath string) error {
-	fmt.Fprintf(os.Stderr, "commit-availability A/B: %d healthy txns per protocol, %s kill wait...\n", txns, resolveWait)
-	res, err := bench.MeasureCommitAvailability(txns, resolveWait)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatCommitAvail(res))
-	if jsonPath == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+func progress(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
 }
 
-// runSharding sweeps the sharded-namespace scale-out benchmark and
-// records text + JSON output.
-func runSharding(maxNodes int, keys uint64, workersPerNode, txnsPerWorker, runs int, ratio float64, jsonPath string) error {
-	fmt.Fprintf(os.Stderr, "sweeping sharded scale-out up to %d nodes (%d keys, ratio %g)...\n", maxNodes, keys, ratio)
-	res, err := bench.MeasureSharding(maxNodes, keys, workersPerNode, txnsPerWorker, runs, ratio)
-	if err != nil {
-		return err
+// torture drives a deterministic fault-injection harness and reports the
+// outcome; a failing run exits nonzero with the seed and fault trace so the
+// exact schedule reproduces.
+func torture(fs *flag.FlagSet) func() error {
+	seed := fs.Int64("seed", 1, "fault plan and workload schedule seed")
+	profile := fs.String("profile", "chaos", "fault profile: "+strings.Join(append(fault.ProfileNames(), "migrate"), ", "))
+	txns := fs.Int("txns", 200, "workload transactions (ignored by -profile migrate)")
+	protocol := fs.String("commit-protocol", "2pc", "commit protocol: 2pc or paxos (ignored by -profile migrate)")
+	return func() error {
+		fmt.Fprintf(os.Stderr, "torture: seed=%d profile=%s txns=%d protocol=%s\n", *seed, *profile, *txns, *protocol)
+		start := time.Now()
+		if *profile == "migrate" {
+			// Shards migrate between data nodes, data nodes crash and reboot,
+			// and every worker write must commit (at worst after retries).
+			rep, err := fault.RunMigrate(fault.MigrateOptions{Seed: *seed, Logf: progress})
+			if rep != nil {
+				fmt.Println(rep)
+			}
+			return verdict(err, start)
+		}
+		rep, err := fault.RunTorture(fault.TortureOptions{
+			Seed: *seed, Nodes: 3, Txns: *txns, Profile: *profile, CommitProtocol: *protocol, Logf: progress,
+		})
+		if rep != nil {
+			fmt.Println(rep)
+		}
+		return verdict(err, start)
 	}
-	fmt.Print(bench.FormatSharding(res))
-	if jsonPath == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
 }
 
-// runHotPath sweeps the CPU-bound hot-path benchmark, optionally merging a
-// prior sweep's numbers as the baseline, and records text + JSON output.
-func runHotPath(maxConc, txnsPerWorker, runs int, jsonPath, baselinePath string) error {
-	fmt.Fprintf(os.Stderr, "sweeping hot-path throughput up to %d workers (median of %d runs)...\n", maxConc, runs)
-	res, err := bench.MeasureHotPath(maxConc, txnsPerWorker, runs)
-	if err != nil {
+func verdict(err error, start time.Time) error {
+	if err == nil {
+		fmt.Printf("all invariants held in %s\n", time.Since(start).Round(time.Millisecond))
+	}
+	return err
+}
+
+// coordkill kills the coordinator of a fully prepared distributed
+// transaction at the decision point, for good, and reports whether the
+// survivors resolve it: 2pc blocks, paxos does not.
+func coordkill(fs *flag.FlagSet) func() error {
+	protocol := fs.String("commit-protocol", "2pc", "commit protocol: 2pc or paxos")
+	phase := fs.String("phase", "decide", "where the coordinator dies: decide (before the decision exists) or decided (after it is durable)")
+	wait := fs.Duration("resolve-wait", 5*time.Second, "how long the survivors get to resolve the transaction")
+	return func() error {
+		rep, err := fault.RunCoordKill(fault.CoordKillOptions{CommitProtocol: *protocol, KillPhase: *phase, ResolveWait: *wait, Logf: progress})
+		if rep != nil {
+			fmt.Println(rep)
+		}
 		return err
 	}
-	if baselinePath != "" {
-		blob, err := os.ReadFile(baselinePath)
+}
+
+// sharding sweeps the sharded-namespace scale-out benchmark.
+func sharding(fs *flag.FlagSet) func() error {
+	nodes := fs.Int("nodes", 8, "sweep 1, 2, 4, ... up to this many nodes, one shard each")
+	ratio := fs.Float64("multi-shard-ratio", 0.1, "fraction of transactions touching a second shard")
+	keys := fs.Uint64("keys", 1<<20, "global key-space size the sweep partitions")
+	txns := fs.Int("txns", 100, "transactions per worker (4 workers homed on each node)")
+	runs := fs.Int("runs", 3, "independent runs per sweep point; the median is reported")
+	jsonPath := fs.String("json", "BENCH_sharding.json", "where to write the sweep as JSON ('' to skip)")
+	return func() error {
+		fmt.Fprintf(os.Stderr, "sweeping sharded scale-out up to %d nodes (%d keys, ratio %g)...\n", *nodes, *keys, *ratio)
+		res, err := bench.MeasureSharding(*nodes, *keys, 4, *txns, *runs, *ratio)
 		if err != nil {
-			return fmt.Errorf("reading baseline: %w", err)
+			return err
 		}
-		var baseline bench.HotPathResult
-		if err := json.Unmarshal(blob, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline: %w", err)
-		}
-		bench.MergeHotPathBaseline(res, &baseline)
+		fmt.Print(bench.FormatSharding(res))
+		return writeJSON(*jsonPath, res)
 	}
-	fmt.Print(bench.FormatHotPath(res))
-	if jsonPath == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
 }
 
-// runGroupCommit sweeps the concurrent-commit benchmark and records the
-// result both as a text table on stdout and as JSON for regression
-// tracking.
-func runGroupCommit(maxConc, txnsPerWorker int, jsonPath string) error {
-	fmt.Fprintf(os.Stderr, "sweeping WAL group commit up to %d concurrent committers...\n", maxConc)
-	res, err := bench.MeasureGroupCommit(maxConc, txnsPerWorker)
-	if err != nil {
-		return err
+// migrate runs the migrate-under-load benchmark: the throughput dip and
+// the redirect latency of one shard move.
+func migrate(fs *flag.FlagSet) func() error {
+	phase := fs.Duration("phase", 600*time.Millisecond, "baseline and recovery workload window around the move")
+	jsonPath := fs.String("json", "BENCH_migration.json", "where to write the result as JSON ('' to skip)")
+	return func() error {
+		fmt.Fprintf(os.Stderr, "migrating a shard under live load (3 nodes, 4 workers, %s windows)...\n", *phase)
+		res, err := bench.MeasureMigration(3, 0, 4, *phase)
+		if err != nil {
+			return err
+		}
+		fmt.Print(bench.FormatMigration(res))
+		return writeJSON(*jsonPath, res)
 	}
-	fmt.Print(bench.FormatGroupCommit(res))
-	if jsonPath == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
 }
 
 // dumpMetrics writes every cluster node's trace.Export (metrics only) as
@@ -299,97 +175,95 @@ func dumpMetrics(env *bench.Env, path string) error {
 		}
 	}
 	sort.Slice(exports, func(i, j int) bool { return exports[i].Node < exports[j].Node })
-	blob, err := trace.MarshalExports(exports)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err = fmt.Println(string(blob))
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return writeJSON(path, exports)
 }
 
-func run(table string, iters int, metricsJSON string, groupCommit bool) error {
-	needMicro := table == "all" || table == "5-1"
-	needBench := table == "all" || table == "5-2" || table == "5-3" || table == "5-4"
+// tables regenerates the tables of the paper's Section 5 evaluation:
+// primitive operation times (Table 5-1), pre-commit and commit primitive
+// counts (Tables 5-2, 5-3), benchmark times with the Improved Architecture
+// and New Primitive Times projections (Table 5-4), and the achievable
+// primitive parameter set (Table 5-5).
+func tables(fs *flag.FlagSet) func() error {
+	table := fs.String("table", "all", "which table to regenerate: 5-1, 5-2, 5-3, 5-4, 5-5, ablations, or all")
+	iters := fs.Int("iters", 10, "measured transactions per benchmark")
+	metricsJSON := fs.String("metrics-json", "", "after the benchmarks, write per-node trace-layer metrics as JSON to this file ('-' for stdout)")
+	return func() error {
+		needMicro := *table == "all" || *table == "5-1"
+		needBench := *table == "all" || *table == "5-2" || *table == "5-3" || *table == "5-4"
 
-	var micro *bench.MicroResults
-	if needMicro {
-		fmt.Fprintln(os.Stderr, "measuring primitive micro-benchmarks...")
-		var err error
-		micro, err = bench.MeasureMicro()
-		if err != nil {
-			return err
-		}
-	}
-
-	var results []bench.Result
-	if needBench {
-		fmt.Fprintln(os.Stderr, "running the fourteen Section 5 benchmarks (3 nodes)...")
-		env, err := bench.NewEnvWith(3, !groupCommit)
-		if err != nil {
-			return err
-		}
-		defer env.Close()
-		results, err = env.MeasureAll(iters)
-		if err != nil {
-			return err
-		}
-		if metricsJSON != "" {
-			if err := dumpMetrics(env, metricsJSON); err != nil {
-				return fmt.Errorf("writing metrics JSON: %w", err)
+		var micro *bench.MicroResults
+		if needMicro {
+			fmt.Fprintln(os.Stderr, "measuring primitive micro-benchmarks...")
+			var err error
+			micro, err = bench.MeasureMicro()
+			if err != nil {
+				return err
 			}
 		}
-	} else if metricsJSON != "" {
-		return fmt.Errorf("-metrics-json needs a benchmark run (table %q runs none)", table)
-	}
 
-	runAblations := func() error {
-		fmt.Fprintln(os.Stderr, "running ablation studies...")
-		lg, err := bench.MeasureLoggingAblation(200)
-		if err != nil {
-			return err
+		var results []bench.Result
+		if needBench {
+			fmt.Fprintln(os.Stderr, "running the fourteen Section 5 benchmarks (3 nodes)...")
+			env, err := bench.NewEnv(3)
+			if err != nil {
+				return err
+			}
+			defer env.Close()
+			results, err = env.MeasureAll(*iters)
+			if err != nil {
+				return err
+			}
+			if *metricsJSON != "" {
+				if err := dumpMetrics(env, *metricsJSON); err != nil {
+					return fmt.Errorf("writing metrics JSON: %w", err)
+				}
+			}
+		} else if *metricsJSON != "" {
+			return fmt.Errorf("-metrics-json needs a benchmark run (table %q runs none)", *table)
 		}
-		lk, err := bench.MeasureLockingAblation(6)
-		if err != nil {
-			return err
+
+		ablations := func() (string, error) {
+			fmt.Fprintln(os.Stderr, "running ablation studies...")
+			lg, err := bench.MeasureLoggingAblation(200)
+			if err != nil {
+				return "", err
+			}
+			lk, err := bench.MeasureLockingAblation(6)
+			if err != nil {
+				return "", err
+			}
+			return bench.FormatAblations(lg, lk), nil
 		}
-		fmt.Print(bench.FormatAblations(lg, lk))
+		sections := []struct {
+			name   string
+			render func() (string, error)
+		}{
+			{"5-1", func() (string, error) { return bench.Table51(micro), nil }},
+			{"5-2", func() (string, error) { return bench.Table52(results), nil }},
+			{"5-3", func() (string, error) { return bench.Table53(results), nil }},
+			{"5-4", func() (string, error) { return bench.Table54(results), nil }},
+			{"5-5", func() (string, error) { return bench.Table55(), nil }},
+			{"ablations", ablations},
+			{"all", func() (string, error) { return bench.FormatWallSummary(micro), nil }},
+		}
+		printed := false
+		for _, sec := range sections {
+			if *table != sec.name && *table != "all" {
+				continue
+			}
+			out, err := sec.render()
+			if err != nil {
+				return err
+			}
+			if printed {
+				fmt.Println()
+			}
+			fmt.Print(out)
+			printed = true
+		}
+		if !printed {
+			return fmt.Errorf("unknown table %q", *table)
+		}
 		return nil
 	}
-
-	switch table {
-	case "5-1":
-		fmt.Print(bench.Table51(micro))
-	case "5-2":
-		fmt.Print(bench.Table52(results))
-	case "5-3":
-		fmt.Print(bench.Table53(results))
-	case "5-4":
-		fmt.Print(bench.Table54(results))
-	case "5-5":
-		fmt.Print(bench.Table55())
-	case "ablations":
-		return runAblations()
-	case "all":
-		fmt.Print(bench.Table51(micro))
-		fmt.Println()
-		fmt.Print(bench.Table52(results))
-		fmt.Println()
-		fmt.Print(bench.Table53(results))
-		fmt.Println()
-		fmt.Print(bench.Table54(results))
-		fmt.Println()
-		fmt.Print(bench.Table55())
-		fmt.Println()
-		if err := runAblations(); err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(bench.FormatWallSummary(micro))
-	default:
-		return fmt.Errorf("unknown table %q", table)
-	}
-	return nil
 }

@@ -2,15 +2,16 @@
 // pluggable "how does the top-level transaction's outcome become durable
 // and learnable" step of distributed commit.
 //
-// Two implementations exist. TwoPhase is the paper's tree-structured
-// two-phase commit (§3.2.3): the coordinator's forced commit record IS the
-// decision, and in-doubt participants resolve by asking their parent. It
-// blocks forever if the coordinator dies after participants prepare.
-// Manager is Paxos Commit after Gray & Lamport's "Consensus on Transaction
-// Commit": each resource manager's Prepared/Aborted vote is the value of a
-// Paxos instance decided by 2F+1 acceptor replicas, so the decision
-// survives the coordinator as long as F+1 acceptors live. 2PC is exactly
-// the degenerate F=0 case — one acceptor, colocated with the coordinator.
+// The paper's tree-structured two-phase commit (§3.2.3) is built into
+// internal/txn and needs nothing from here: the coordinator's forced
+// commit record IS the decision, and in-doubt participants resolve by
+// asking their parent. It blocks forever if the coordinator dies after
+// participants prepare. Manager is the replicated alternative, Paxos
+// Commit after Gray & Lamport's "Consensus on Transaction Commit": each
+// resource manager's Prepared/Aborted vote is the value of a Paxos
+// instance decided by 2F+1 acceptor replicas, so the decision survives the
+// coordinator as long as F+1 acceptors live. 2PC is exactly the degenerate
+// F=0 case — one acceptor, colocated with the coordinator.
 //
 // This package deliberately owns only the *decision*: vote collection, the
 // session tree, lock release and the commit/abort fan-out all stay in
@@ -23,30 +24,24 @@ import (
 	"tabs/internal/wal"
 )
 
-// Protocol is the commit-decision strategy used by the Transaction
-// Manager. Implementations must be safe for concurrent use.
+// Protocol is a replicated commit-decision strategy installed in the
+// Transaction Manager in place of its built-in two-phase commit: the
+// decision lives outside the coordinator. The coordinator must force a
+// prepare record (naming Acceptors()) before calling DecideCommit, and must
+// never unilaterally abort once DecideCommit has been attempted: the
+// transaction is in doubt until ResolveInDoubt learns the outcome.
+// Implementations must be safe for concurrent use.
 type Protocol interface {
-	// Name identifies the protocol ("2pc" or "paxos") in reports and traces.
-	Name() string
-
-	// Replicated reports whether the decision is replicated outside the
-	// coordinator. When true the coordinator must force a prepare record
-	// (naming Acceptors()) before calling DecideCommit, and must never
-	// unilaterally abort once DecideCommit has been attempted: the
-	// transaction is in doubt until ResolveInDoubt learns the outcome.
-	Replicated() bool
-
 	// Acceptors returns the replica set new transactions should be decided
-	// by. Empty for unreplicated protocols.
+	// by.
 	Acceptors() []types.NodeID
 
 	// DecideCommit durably establishes the Committed outcome for tid, whose
-	// writer set (coordinator included when it wrote) is members. For 2PC
-	// this forces the coordinator's commit record; for Paxos Commit it gets
+	// writer set (coordinator included when it wrote) is members, by getting
 	// the all-Prepared vote vector accepted by a quorum of acceptors. An
-	// error means the outcome was NOT established here — but for replicated
-	// protocols it may still have been established by a competing recovery
-	// proposer, so the caller must treat an error as "in doubt", not abort.
+	// error means the outcome was NOT established here — but it may still
+	// have been established by a competing recovery proposer, so the caller
+	// must treat an error as "in doubt", not abort.
 	DecideCommit(tid types.TransID, members []types.NodeID) error
 
 	// ResolveInDoubt determines the outcome of a prepared transaction whose
@@ -61,44 +56,6 @@ type Protocol interface {
 	// outcome of tid, so replicated decision state may be discarded.
 	Finished(tid types.TransID, acceptors []types.NodeID)
 }
-
-// TwoPhase adapts the paper's two-phase commit to the Protocol interface.
-// It is constructed by the Transaction Manager from two closures so this
-// package needs no dependency on txn internals.
-type TwoPhase struct {
-	commit func(types.TransID) error
-	query  func(types.TransID, *wal.PrepareBody) types.Status
-}
-
-// NewTwoPhase builds the unreplicated protocol. commit must force the
-// coordinator's commit record; query must ask the parent/coordinator for
-// the outcome of an in-doubt transaction (returning StatusPrepared when it
-// cannot be reached — the 2PC blocking window).
-func NewTwoPhase(commit func(types.TransID) error, query func(types.TransID, *wal.PrepareBody) types.Status) *TwoPhase {
-	return &TwoPhase{commit: commit, query: query}
-}
-
-// Name implements Protocol.
-func (t *TwoPhase) Name() string { return "2pc" }
-
-// Replicated implements Protocol: 2PC is the F=0 case, nothing outlives
-// the coordinator.
-func (t *TwoPhase) Replicated() bool { return false }
-
-// Acceptors implements Protocol.
-func (t *TwoPhase) Acceptors() []types.NodeID { return nil }
-
-// DecideCommit implements Protocol by forcing the coordinator's commit
-// record — the classic single point of decision.
-func (t *TwoPhase) DecideCommit(tid types.TransID, _ []types.NodeID) error { return t.commit(tid) }
-
-// ResolveInDoubt implements Protocol by asking the coordinator.
-func (t *TwoPhase) ResolveInDoubt(tid types.TransID, prep *wal.PrepareBody) types.Status {
-	return t.query(tid, prep)
-}
-
-// Finished implements Protocol; 2PC keeps no replicated state.
-func (t *TwoPhase) Finished(types.TransID, []types.NodeID) {}
 
 // --- Ballots and values ----------------------------------------------------
 

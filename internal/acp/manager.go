@@ -160,12 +160,6 @@ func (b Ballot) String() string { return fmt.Sprintf("%d.%s", b.N, b.Node) }
 
 // --- Protocol implementation (the Paxos Commit side) ------------------------
 
-// Name implements Protocol.
-func (m *Manager) Name() string { return "paxos" }
-
-// Replicated implements Protocol.
-func (m *Manager) Replicated() bool { return true }
-
 // Acceptors implements Protocol.
 func (m *Manager) Acceptors() []types.NodeID {
 	m.mu.Lock()

@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"tabs/internal/core"
 	"tabs/internal/servers/accum"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // This file implements the ablation studies DESIGN.md calls out — the
@@ -35,89 +37,56 @@ func MeasureLoggingAblation(updates int) (*LoggingAblation, error) {
 		updates = 100
 	}
 	out := &LoggingAblation{Updates: updates}
-
+	var err error
 	// Value logging: the integer array logs old/new values.
-	{
-		c, err := core.NewCluster(core.DefaultClusterOptions(), "v")
-		if err != nil {
-			return nil, err
-		}
-		n := c.Node("v")
-		if _, err := intarray.Attach(n, "arr", 1, 16, time.Second); err != nil {
-			return nil, err
-		}
-		if _, err := n.Recover(); err != nil {
-			return nil, err
-		}
-		arr := intarray.NewClient(n, "v", "arr")
-		before := n.Log.SpaceUsed()
-		start := time.Now()
-		for i := 0; i < updates; i++ {
-			if err := n.App.Run(func(tid types.TransID) error {
-				return arr.Set(tid, 1, int64(i))
-			}); err != nil {
-				return nil, err
-			}
-		}
-		out.ValueElapsedNs = time.Since(start).Nanoseconds()
-		out.ValueLogBytes = n.Log.SpaceUsed() - before
-		c.Crash("v")
-		n2, err := c.Reboot("v")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := intarray.Attach(n2, "arr", 1, 16, time.Second); err != nil {
-			return nil, err
-		}
-		report, err := n2.Recover()
-		if err != nil {
-			return nil, err
-		}
-		out.ValuePasses = report.Passes
-		c.Shutdown()
+	out.ValueLogBytes, out.ValueElapsedNs, out.ValuePasses, err = logAndRecover("v", updates,
+		workload.IntArray("arr", 16, time.Second),
+		func(n *core.Node, tid types.TransID, i int) error {
+			return intarray.NewClient(n, "v", "arr").Set(tid, 1, int64(i))
+		})
+	if err != nil {
+		return nil, err
 	}
-
 	// Operation logging: the accumulator logs redo/undo scripts.
-	{
-		c, err := core.NewCluster(core.DefaultClusterOptions(), "o")
-		if err != nil {
-			return nil, err
-		}
-		n := c.Node("o")
-		if _, err := accum.Attach(n, "acc", 1, 16, time.Second); err != nil {
-			return nil, err
-		}
-		if _, err := n.Recover(); err != nil {
-			return nil, err
-		}
-		acc := accum.NewClient(n, "o", "acc")
-		before := n.Log.SpaceUsed()
-		start := time.Now()
-		for i := 0; i < updates; i++ {
-			if err := n.App.Run(func(tid types.TransID) error {
-				return acc.Increment(tid, 1, 1)
-			}); err != nil {
-				return nil, err
-			}
-		}
-		out.OpElapsedNs = time.Since(start).Nanoseconds()
-		out.OpLogBytes = n.Log.SpaceUsed() - before
-		c.Crash("o")
-		n2, err := c.Reboot("o")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := accum.Attach(n2, "acc", 1, 16, time.Second); err != nil {
-			return nil, err
-		}
-		report, err := n2.Recover()
-		if err != nil {
-			return nil, err
-		}
-		out.OpPasses = report.Passes
-		c.Shutdown()
+	out.OpLogBytes, out.OpElapsedNs, out.OpPasses, err = logAndRecover("o", updates,
+		func(n *core.Node) error {
+			_, err := accum.Attach(n, "acc", 1, 16, time.Second)
+			return err
+		},
+		func(n *core.Node, tid types.TransID, _ int) error {
+			return accum.NewClient(n, "o", "acc").Increment(tid, 1, 1)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// logAndRecover runs updates single-update transactions on a one-node
+// cluster, then crashes and restarts it: the log growth, the elapsed time
+// and the number of passes restart took.
+func logAndRecover(name types.NodeID, updates int, attach func(*core.Node) error, update func(n *core.Node, tid types.TransID, i int) error) (logBytes, elapsedNs int64, passes int, err error) {
+	fx, err := workload.Boot(workload.Options{Cluster: core.DefaultClusterOptions(), Nodes: []types.NodeID{name}, Attach: attach})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer fx.Shutdown()
+	n := fx.Node(name)
+	before := n.Log.SpaceUsed()
+	start := time.Now()
+	for i := 0; i < updates; i++ {
+		if err := n.App.Run(func(tid types.TransID) error { return update(n, tid, i) }); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	elapsedNs = time.Since(start).Nanoseconds()
+	logBytes = n.Log.SpaceUsed() - before
+	fx.Crash(name)
+	_, report, err := fx.Reboot(name)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return logBytes, elapsedNs, report.Passes, nil
 }
 
 // LockingAblation compares read/write locking with type-specific
@@ -142,91 +111,68 @@ func MeasureLockingAblation(k int) (*LockingAblation, error) {
 		k = 4
 	}
 	out := &LockingAblation{Transactions: k}
-
+	var err error
 	// Read/write locking (integer array).
-	{
-		c, err := core.NewCluster(core.DefaultClusterOptions(), "rw")
-		if err != nil {
-			return nil, err
-		}
-		n := c.Node("rw")
-		if _, err := intarray.Attach(n, "arr", 1, 16, 100*time.Millisecond); err != nil {
-			return nil, err
-		}
-		if _, err := n.Recover(); err != nil {
-			return nil, err
-		}
-		arr := intarray.NewClient(n, "rw", "arr")
-		tids := make([]types.TransID, k)
-		for i := range tids {
-			tids[i], err = n.App.BeginTransaction(types.NilTransID)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results := make(chan error, k)
-		for i := range tids {
-			go func(tid types.TransID) {
-				results <- arr.Set(tid, 1, 42)
-			}(tids[i])
-		}
-		for range tids {
-			if err := <-results; err == nil {
-				out.RWGranted++
-			}
-		}
-		if srv, ok := n.Server("arr"); ok {
-			s := srv.Locks().Stats()
-			out.RWTimeouts, out.RWWaits = s.Timeouts, s.Waits
-		}
-		for _, tid := range tids {
-			_ = n.App.AbortTransaction(tid)
-		}
-		c.Shutdown()
+	out.RWGranted, out.RWTimeouts, out.RWWaits, err = contend("rw", "arr", k,
+		workload.IntArray("arr", 16, 100*time.Millisecond),
+		func(n *core.Node, tid types.TransID) error {
+			return intarray.NewClient(n, "rw", "arr").Set(tid, 1, 42)
+		})
+	if err != nil {
+		return nil, err
 	}
-
 	// Type-specific increment locking (accumulator).
-	{
-		c, err := core.NewCluster(core.DefaultClusterOptions(), "ts")
-		if err != nil {
-			return nil, err
-		}
-		n := c.Node("ts")
-		if _, err := accum.Attach(n, "acc", 1, 16, 100*time.Millisecond); err != nil {
-			return nil, err
-		}
-		if _, err := n.Recover(); err != nil {
-			return nil, err
-		}
-		acc := accum.NewClient(n, "ts", "acc")
-		tids := make([]types.TransID, k)
-		for i := range tids {
-			tids[i], err = n.App.BeginTransaction(types.NilTransID)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results := make(chan error, k)
-		for i := range tids {
-			go func(tid types.TransID) {
-				results <- acc.Increment(tid, 1, 1)
-			}(tids[i])
-		}
-		for range tids {
-			if err := <-results; err == nil {
-				out.TSGranted++
-			}
-		}
-		if srv, ok := n.Server("acc"); ok {
-			s := srv.Locks().Stats()
-			out.TSTimeouts, out.TSWaits = s.Timeouts, s.Waits
-		}
-		for _, tid := range tids {
-			_, _ = n.App.EndTransaction(tid)
-		}
-		c.Shutdown()
+	out.TSGranted, out.TSTimeouts, out.TSWaits, err = contend("ts", "acc", k,
+		func(n *core.Node) error {
+			_, err := accum.Attach(n, "acc", 1, 16, 100*time.Millisecond)
+			return err
+		},
+		func(n *core.Node, tid types.TransID) error {
+			return accum.NewClient(n, "ts", "acc").Increment(tid, 1, 1)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// contend opens k transactions on a one-node cluster, has each update the
+// same cell concurrently while all stay open, and reports how many updates
+// were granted plus the server's lock time-outs and waits.
+func contend(name types.NodeID, server types.ServerID, k int, attach func(*core.Node) error, update func(*core.Node, types.TransID) error) (granted int, timeouts, waits int64, err error) {
+	fx, err := workload.Boot(workload.Options{Cluster: core.DefaultClusterOptions(), Nodes: []types.NodeID{name}, Attach: attach})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer fx.Shutdown()
+	n := fx.Node(name)
+	tids := make([]types.TransID, k)
+	for i := range tids {
+		if tids[i], err = n.App.BeginTransaction(types.NilTransID); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	results := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range tids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = update(n, tids[i])
+		}(i)
+	}
+	wg.Wait()
+	if srv, ok := n.Server(server); ok {
+		s := srv.Locks().Stats()
+		timeouts, waits = s.Timeouts, s.Waits
+	}
+	for i, tid := range tids {
+		if results[i] == nil {
+			granted++
+		}
+		_ = n.App.AbortTransaction(tid)
+	}
+	return granted, timeouts, waits, nil
 }
 
 // FormatAblations renders both ablations.

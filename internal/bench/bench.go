@@ -23,6 +23,7 @@ import (
 	"tabs/internal/simclock"
 	"tabs/internal/stats"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // Paging selects the benchmark's access pattern.
@@ -105,38 +106,26 @@ type Env struct {
 
 // NewEnv boots a cluster of n nodes with one array server each, sized for
 // the paging benchmarks.
-func NewEnv(n int) (*Env, error) { return NewEnvWith(n, false) }
-
-// NewEnvWith is NewEnv with the log's group commit optionally disabled —
-// one synchronous Stable Storage Write per force, the paper's original
-// behavior, for faithful Table 5-2/5-3 counts under concurrent load. (The
-// sequential Section 5 benchmarks produce identical counts either way: a
-// lone committer always leads its own batch of one.)
-func NewEnvWith(n int, disableGroupCommit bool) (*Env, error) {
+func NewEnv(n int) (*Env, error) {
 	names := []types.NodeID{"node1", "node2", "node3"}[:n]
-	opts := core.ClusterOptions{
-		DiskSectors: ArrayPages + 4096,
-		LogSectors:  2048,
-		PoolPages:   PoolPages,
-		// Checkpoints would perturb steady-state counts; keep them rare.
-		CheckpointEvery:    1 << 30,
-		LockTimeout:        5 * time.Second,
-		DisableGroupCommit: disableGroupCommit,
-	}
-	cluster, err := core.NewCluster(opts, names...)
+	fx, err := workload.Boot(workload.Options{
+		Cluster: core.ClusterOptions{
+			DiskSectors: ArrayPages + 4096,
+			LogSectors:  2048,
+			PoolPages:   PoolPages,
+			// Checkpoints would perturb steady-state counts; keep them rare.
+			CheckpointEvery: 1 << 30,
+			LockTimeout:     5 * time.Second,
+		},
+		Nodes:  names,
+		Attach: workload.IntArray("array", ArrayCells, 5*time.Second),
+	})
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Cluster: cluster, nodes: names, seqPage: make([]uint32, n), rng: rand.New(rand.NewSource(42))}
+	env := &Env{Cluster: fx.Cluster, nodes: names, seqPage: make([]uint32, n), rng: rand.New(rand.NewSource(42))}
 	for _, name := range names {
-		node := cluster.Node(name)
-		if _, err := intarray.Attach(node, "array", 1, ArrayCells, 5*time.Second); err != nil {
-			return nil, err
-		}
-		if _, err := node.Recover(); err != nil {
-			return nil, err
-		}
-		env.clients = append(env.clients, intarray.NewClient(cluster.Node(names[0]), name, "array"))
+		env.clients = append(env.clients, intarray.NewClient(env.Local(), name, "array"))
 	}
 	return env, nil
 }

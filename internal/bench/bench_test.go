@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"testing"
 
 	"tabs/internal/simclock"
@@ -131,6 +132,37 @@ func TestTableFormattersProduceOutput(t *testing.T) {
 	} {
 		if len(s) < 100 {
 			t.Errorf("table %s suspiciously short: %q", name, s)
+		}
+	}
+}
+
+// TestTables52And53MatchGolden regenerates Tables 5-2 and 5-3 on the
+// three-node environment exactly as `tabsbench tables -table 5-2` and
+// `-table 5-3` do (ten measured transactions per benchmark) and compares
+// them byte for byte with the files checked in under testdata. The counts
+// are deterministic — the paging benchmarks draw from a fixed seed — so any
+// difference is a change in how many primitives a transaction costs, which
+// a PR must either avoid or explain by regenerating the golden files.
+func TestTables52And53MatchGolden(t *testing.T) {
+	env, err := NewEnv(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	results, err := env.MeasureAll(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, got := range map[string]string{
+		"testdata/table52.golden": Table52(results),
+		"testdata/table53.golden": Table53(results),
+	} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs\n--- got ---\n%s--- want ---\n%s", file, got, want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"tabs/internal/stats"
 	"tabs/internal/types"
 	"tabs/internal/wal"
+	"tabs/internal/workload"
 )
 
 // MicroResults holds the Table 5-1 micro-benchmark outcomes.
@@ -128,22 +129,22 @@ func measureMessaging(out *MicroResults) error {
 	p.Close()
 
 	// Null data server calls, local and remote.
-	cluster, err := core.NewCluster(core.DefaultClusterOptions(), "m1", "m2")
+	cluster, err := workload.Boot(workload.Options{
+		Cluster: core.DefaultClusterOptions(),
+		Nodes:   []types.NodeID{"m1", "m2"},
+		Attach: func(n *core.Node) error {
+			srv, err := n.NewServer("null", 1, 1, nil, time.Second)
+			if err != nil {
+				return err
+			}
+			srv.AcceptRequests(func(req *srvlib.Request) ([]byte, error) { return nil, nil })
+			return nil
+		},
+	})
 	if err != nil {
 		return err
 	}
 	defer cluster.Shutdown()
-	for _, name := range []types.NodeID{"m1", "m2"} {
-		n := cluster.Node(name)
-		srv, err := n.NewServer("null", 1, 1, nil, time.Second)
-		if err != nil {
-			return err
-		}
-		srv.AcceptRequests(func(req *srvlib.Request) ([]byte, error) { return nil, nil })
-		if _, err := n.Recover(); err != nil {
-			return err
-		}
-	}
 	n1 := cluster.Node("m1")
 	const calls = 5000
 	start = time.Now()

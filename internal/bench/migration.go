@@ -19,6 +19,7 @@ import (
 	"tabs/internal/core"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // MigrationBucket is one time slice of the throughput series.
@@ -34,12 +35,12 @@ type MigrationResult struct {
 	Keys    uint64 `json:"keys"`
 	Workers int    `json:"workers"`
 
-	Shard            int    `json:"shard"`
-	From             string `json:"from"`
-	To               string `json:"to"`
-	PagesMoved       uint32 `json:"pages_moved"`
-	BytesMoved       uint64 `json:"bytes_moved"`
-	PlacementVersion uint64 `json:"placement_version"`
+	Shard            int     `json:"shard"`
+	From             string  `json:"from"`
+	To               string  `json:"to"`
+	PagesMoved       uint32  `json:"pages_moved"`
+	BytesMoved       uint64  `json:"bytes_moved"`
+	PlacementVersion uint64  `json:"placement_version"`
 	MigrationMs      float64 `json:"migration_ms"`
 
 	BaselineTps float64 `json:"baseline_txns_per_sec"`
@@ -78,31 +79,26 @@ func MeasureMigration(nodes int, keys uint64, workers int, phase time.Duration) 
 	const bucketMs = 50
 	res := &MigrationResult{Nodes: nodes, Keys: keys, Workers: workers, BucketMs: bucketMs}
 
-	names := make([]types.NodeID, nodes)
-	for i := range names {
-		names[i] = types.NodeID(fmt.Sprintf("n%02d", i+1))
-	}
-	opts := core.ClusterOptions{
-		DiskSectors:     2 * footprintSectors(keys, nodes),
-		LogSectors:      8192,
-		PoolPages:       512,
-		CheckpointEvery: 1 << 30,
-		LockTimeout:     time.Second,
-	}
-	cluster, err := core.NewCluster(opts, names...)
+	names := nodeNames(nodes)
+	cluster, err := workload.Boot(workload.Options{
+		Cluster: core.ClusterOptions{
+			DiskSectors:     2 * footprintSectors(keys, nodes),
+			LogSectors:      8192,
+			PoolPages:       512,
+			CheckpointEvery: 1 << 30,
+			LockTimeout:     time.Second,
+		},
+		Nodes: names,
+		Shared: func(c *core.Cluster) error {
+			_, err := intarray.AttachSharded(c, "array", keys, time.Second)
+			return err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Shutdown()
-	p, err := intarray.AttachSharded(cluster, "array", keys, time.Second)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		if _, err := cluster.Node(name).Recover(); err != nil {
-			return nil, fmt.Errorf("recover %s: %w", name, err)
-		}
-	}
+	p := cluster.Placement("array")
 	res.Shard = 0
 	res.From = string(p.Shards[0].Node)
 	dest := p.Shards[1%p.NumShards()].Node
@@ -134,21 +130,16 @@ func MeasureMigration(nodes int, keys uint64, workers int, phase time.Duration) 
 				default:
 				}
 				key := (uint64(w) + uint64(i)*uint64(workers)) % keys
-				deadline := time.Now().Add(10 * time.Second)
-				for {
-					err := node.App.Run(func(tid types.TransID) error {
+				// The migration's quiesce releases on its own clock; retry
+				// through it.
+				if workload.RetryUntil(time.Now().Add(10*time.Second), 2*time.Millisecond, func() error {
+					return node.App.Run(func(tid types.TransID) error {
 						return client.Set(tid, key, int64(i))
 					})
-					if err == nil {
-						commits.Add(1)
-						break
-					}
-					if time.Now().After(deadline) {
-						failed.Add(1)
-						break
-					}
-					//tabslint:ignore sleepsync retry backoff: the migration's quiesce releases on its own clock
-					time.Sleep(2 * time.Millisecond)
+				}) == nil {
+					commits.Add(1)
+				} else {
+					failed.Add(1)
 				}
 			}
 		}(w, node, client)
@@ -182,19 +173,15 @@ func MeasureMigration(nodes int, keys uint64, workers int, phase time.Duration) 
 	preCommits := commits.Load()
 	preT := time.Now()
 	res.MigrateStartMs = float64(preT.Sub(start).Microseconds()) / 1e3
+	// The move may lose the quiesce lock race with the workers; try again.
 	var rep *core.MigrateReport
-	for attempt := 0; ; attempt++ {
+	if err := workload.RetryUntil(preT.Add(2*time.Second), 50*time.Millisecond, func() (err error) {
 		rep, err = cluster.MigrateShard("array", res.Shard, dest)
-		if err == nil {
-			break
-		}
-		if attempt >= 5 {
-			close(stop)
-			wg.Wait()
-			return nil, fmt.Errorf("bench: migration never succeeded: %w", err)
-		}
-		//tabslint:ignore sleepsync retry backoff after losing the quiesce lock race with the workers
-		time.Sleep(50 * time.Millisecond)
+		return err
+	}); err != nil {
+		close(stop)
+		wg.Wait()
+		return nil, fmt.Errorf("bench: migration never succeeded: %w", err)
 	}
 	postT := time.Now()
 	postCommits := commits.Load()

@@ -9,6 +9,7 @@ import (
 	"tabs/internal/core"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // This file measures the scale-out claim of the sharded namespace: with
@@ -21,8 +22,8 @@ import (
 //
 // The cluster is in-process, so node count cannot buy CPU parallelism on
 // a small machine; what it buys is I/O parallelism, which is exactly what
-// the claim is about. As in groupcommit.go, a scaled-sleep IO hook turns
-// each node's virtual disk milliseconds into real wall time — N nodes
+// the claim is about. A scaled-sleep IO hook turns each node's virtual
+// disk milliseconds into real wall time — N nodes
 // force their logs on N disks concurrently, while a single node funnels
 // every commit through one. The hook is installed after warm-up, so
 // paging and routing-cache fills stay off the measured path; steady-state
@@ -30,10 +31,15 @@ import (
 // point asserts and reports.
 
 // shardIOSleepPerVirtualMs scales the sharding sweep's disks. It is
-// deliberately heavier than groupcommit.go's 20µs/ms: the measured
-// regime should be disk-bound on every node (the scale-out resource),
-// not CPU-bound, even with all nodes sharing one machine.
+// deliberately heavy: the measured regime should be disk-bound on every
+// node (the scale-out resource), not CPU-bound, even with all nodes
+// sharing one machine.
 const shardIOSleepPerVirtualMs = 500 * time.Microsecond
+
+// minIOSleep floors the scaled sleep for one physical IO: sub-quantum
+// virtual latencies would otherwise multiply out to a zero Duration, and
+// the cheapest IOs would be free.
+const minIOSleep = time.Microsecond
 
 // ShardingPoint is one (node count, multi-shard ratio) cell of the sweep.
 // TxnsPerSec is the median of Runs runs; Samples ride along.
@@ -100,30 +106,25 @@ func measureShardingPoint(nodes int, keys uint64, workersPerNode, txns int, rati
 	if keys < minKeys {
 		return pt, fmt.Errorf("bench: sharding needs >= %d keys for %d nodes x %d workers, got %d", minKeys, nodes, workersPerNode, keys)
 	}
-	names := make([]types.NodeID, nodes)
-	for i := range names {
-		names[i] = types.NodeID(fmt.Sprintf("n%02d", i+1))
-	}
-	opts := core.ClusterOptions{
-		DiskSectors:     footprintSectors(keys, nodes),
-		LogSectors:      8192,
-		PoolPages:       512,
-		CheckpointEvery: 1 << 30,
-		LockTimeout:     10 * time.Second,
-	}
-	cluster, err := core.NewCluster(opts, names...)
+	names := nodeNames(nodes)
+	cluster, err := workload.Boot(workload.Options{
+		Cluster: core.ClusterOptions{
+			DiskSectors:     footprintSectors(keys, nodes),
+			LogSectors:      8192,
+			PoolPages:       512,
+			CheckpointEvery: 1 << 30,
+			LockTimeout:     10 * time.Second,
+		},
+		Nodes: names,
+		Shared: func(c *core.Cluster) error {
+			_, err := intarray.AttachSharded(c, "array", keys, 10*time.Second)
+			return err
+		},
+	})
 	if err != nil {
 		return pt, err
 	}
 	defer cluster.Shutdown()
-	if _, err := intarray.AttachSharded(cluster, "array", keys, 10*time.Second); err != nil {
-		return pt, err
-	}
-	for _, name := range names {
-		if _, err := cluster.Node(name).Recover(); err != nil {
-			return pt, fmt.Errorf("recover %s: %w", name, err)
-		}
-	}
 
 	// Home the workers: node i's workers route through a client built on
 	// node i, so their single-shard transactions never leave the node.
@@ -195,12 +196,10 @@ func measureShardingPoint(nodes int, keys uint64, workersPerNode, txns int, rati
 	}
 	defer func() {
 		for _, name := range names {
-			if n := cluster.Node(name); n != nil {
-				n.Disk().SetIOHook(nil)
-			}
+			cluster.Node(name).Disk().SetIOHook(nil)
 		}
 	}()
-	before := shardingCounters(cluster, names)
+	before := shardingCounters(cluster.Cluster, names)
 
 	errs := make([]error, len(workers))
 	multiCounts := make([]int, len(workers))
@@ -229,7 +228,7 @@ func measureShardingPoint(nodes int, keys uint64, workersPerNode, txns int, rati
 			return pt, err
 		}
 	}
-	after := shardingCounters(cluster, names)
+	after := shardingCounters(cluster.Cluster, names)
 
 	pt.Committed = len(workers) * txns
 	for _, m := range multiCounts {
@@ -247,6 +246,15 @@ func measureShardingPoint(nodes int, keys uint64, workersPerNode, txns int, rati
 		pt.MeanCommitChildren = (after.childrenSum - before.childrenSum) / dc
 	}
 	return pt, nil
+}
+
+// nodeNames names n nodes n01, n02, ...
+func nodeNames(n int) []types.NodeID {
+	names := make([]types.NodeID, n)
+	for i := range names {
+		names[i] = types.NodeID(fmt.Sprintf("n%02d", i+1))
+	}
+	return names
 }
 
 // footprintSectors sizes a node's disk for its shard of the array plus
@@ -316,10 +324,14 @@ func MeasureSharding(maxNodes int, keys uint64, workersPerNode, txnsPerWorker, r
 	}
 	for nodes := 1; nodes <= maxNodes; nodes *= 2 {
 		for _, r := range ratios {
-			pt, err := repeatShardingPoint(nodes, keys, workersPerNode, txnsPerWorker, runs, r)
+			// Keep the median run's point, annotated with every sample.
+			pt, samples, err := workload.MedianRun(runs, func() (ShardingPoint, error) {
+				return measureShardingPoint(nodes, keys, workersPerNode, txnsPerWorker, r)
+			}, func(pt ShardingPoint) float64 { return pt.TxnsPerSec })
 			if err != nil {
 				return nil, fmt.Errorf("bench: sharding at %d nodes ratio %g: %w", nodes, r, err)
 			}
+			pt.Runs, pt.Samples = runs, samples
 			res.Points = append(res.Points, pt)
 		}
 	}
@@ -330,27 +342,6 @@ func MeasureSharding(maxNodes int, keys uint64, workersPerNode, txnsPerWorker, r
 		}
 	}
 	return res, nil
-}
-
-// repeatShardingPoint measures one cell runs times and keeps the median
-// run's point, annotated with every sample.
-func repeatShardingPoint(nodes int, keys uint64, workersPerNode, txns, runs int, ratio float64) (ShardingPoint, error) {
-	pts := make([]ShardingPoint, 0, runs)
-	for i := 0; i < runs; i++ {
-		pt, err := measureShardingPoint(nodes, keys, workersPerNode, txns, ratio)
-		if err != nil {
-			return ShardingPoint{}, err
-		}
-		pts = append(pts, pt)
-	}
-	samples := make([]float64, len(pts))
-	for i, pt := range pts {
-		samples[i] = pt.TxnsPerSec
-	}
-	med := pts[medianIndex(samples)]
-	med.Runs = runs
-	med.Samples = samples
-	return med, nil
 }
 
 // point finds the sweep cell for (nodes, ratio), or nil.

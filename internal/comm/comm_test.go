@@ -128,37 +128,6 @@ func (t transportFunc) SetReceiver(r Receiver) { t.setRecv(r) }
 func (t transportFunc) Peers() []types.NodeID  { return t.peers() }
 func (t transportFunc) Close() error           { return t.close() }
 
-// TestRetransmissionMasksDatagramLossNot verifies the session layer
-// retransmits through a lossy transport that also drops *session*
-// envelopes occasionally... sessions are never dropped by FlakyTransport,
-// so instead we check datagram loss tolerance: a dropped datagram is
-// simply gone, with no error.
-func TestFlakyDropsDatagramsSilently(t *testing.T) {
-	net := NewMemNetwork()
-	flaky := NewFlaky(net.Endpoint("a"), 1, 1.0, 0) // drop all datagrams
-	a := New("a", flaky, nil)
-	b := New("b", net.Endpoint("b"), nil)
-	var got atomic.Int64
-	b.RegisterService("dg", func(types.NodeID, types.TransID, []byte) ([]byte, error) {
-		got.Add(1)
-		return nil, nil
-	})
-	for i := 0; i < 10; i++ {
-		if err := a.SendDatagram("b", "dg", types.NilTransID, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// FlakyTransport drops synchronously (nothing was ever sent onward),
-	// so no settling time is needed before asserting.
-	if got.Load() != 0 {
-		t.Errorf("dropped datagrams arrived: %d", got.Load())
-	}
-	dropped, _ := flaky.Counts()
-	if dropped != 10 {
-		t.Errorf("dropped count %d", dropped)
-	}
-}
-
 func TestBroadcastReachesAllPeers(t *testing.T) {
 	net := NewMemNetwork()
 	a := New("a", net.Endpoint("a"), nil)

@@ -10,7 +10,6 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"tabs/internal/types"
@@ -177,67 +176,4 @@ func (e *memEndpoint) Peers() []types.NodeID {
 func (e *memEndpoint) Close() error {
 	e.net.Detach(e.id)
 	return nil
-}
-
-// --- Fault injection ------------------------------------------------------
-
-// FlakyTransport wraps a Transport and drops or duplicates datagram
-// envelopes with the configured probabilities. Session envelopes are never
-// corrupted (the session layer's reliability is assumed from the underlying
-// stream, as TABS assumed from its session protocol), so this exercises the
-// commit protocol's tolerance of datagram loss — and nothing else.
-//
-// Deprecated: use internal/fault.Injector.WrapTransport (or
-// core.ClusterOptions.Faults), which subjects both datagram and session
-// traffic to a seeded, reproducible fault model including drops, delays,
-// duplication, reordering, and partitions. FlakyTransport is retained for
-// existing datagram-loss tests only.
-type FlakyTransport struct {
-	Transport
-	mu        sync.Mutex
-	rng       *rand.Rand
-	DropProb  float64
-	DupProb   float64
-	dropped   int
-	duplicate int
-}
-
-// NewFlaky wraps t with the given datagram drop/duplicate probabilities
-// and deterministic seed.
-func NewFlaky(t Transport, seed int64, dropProb, dupProb float64) *FlakyTransport {
-	return &FlakyTransport{Transport: t, rng: rand.New(rand.NewSource(seed)), DropProb: dropProb, DupProb: dupProb}
-}
-
-// Send applies the fault model to datagrams and passes sessions through.
-func (f *FlakyTransport) Send(env *Envelope) error {
-	if env.Kind != KindDatagram {
-		return f.Transport.Send(env)
-	}
-	f.mu.Lock()
-	drop := f.rng.Float64() < f.DropProb
-	dup := f.rng.Float64() < f.DupProb
-	if drop {
-		f.dropped++
-	}
-	if dup {
-		f.duplicate++
-	}
-	f.mu.Unlock()
-	if drop {
-		return nil
-	}
-	if err := f.Transport.Send(env); err != nil {
-		return err
-	}
-	if dup {
-		return f.Transport.Send(env)
-	}
-	return nil
-}
-
-// Counts returns how many datagrams were dropped and duplicated.
-func (f *FlakyTransport) Counts() (dropped, duplicated int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped, f.duplicate
 }

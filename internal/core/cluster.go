@@ -60,9 +60,6 @@ type ClusterOptions struct {
 	PoolPages       int
 	CheckpointEvery int
 	LockTimeout     time.Duration
-	// DisableGroupCommit propagates to every node's log: one synchronous
-	// Stable Storage Write per Force, as the paper's TABS did.
-	DisableGroupCommit bool
 	// Faults, when set, wires a fault-injection plan (internal/fault)
 	// through every node's transport, disk, and log, across boots and
 	// reboots. Nil disables injection entirely.
@@ -159,18 +156,17 @@ func (c *Cluster) bootNode(name types.NodeID, d *disk.Disk) (*Node, error) {
 		d.SetFaultHook(c.opts.Faults.DiskHook(name))
 	}
 	n, err := NewNode(Config{
-		ID:                 name,
-		Disk:               d,
-		LogSectors:         c.opts.LogSectors,
-		PoolPages:          c.opts.PoolPages,
-		Transport:          tr,
-		Registry:           c.Registry,
-		CheckpointEvery:    c.opts.CheckpointEvery,
-		LockTimeout:        c.opts.LockTimeout,
-		DisableGroupCommit: c.opts.DisableGroupCommit,
-		WALFaultHook:       walHook,
-		CommitProtocol:     c.opts.CommitProtocol,
-		Acceptors:          c.acceptors,
+		ID:              name,
+		Disk:            d,
+		LogSectors:      c.opts.LogSectors,
+		PoolPages:       c.opts.PoolPages,
+		Transport:       tr,
+		Registry:        c.Registry,
+		CheckpointEvery: c.opts.CheckpointEvery,
+		LockTimeout:     c.opts.LockTimeout,
+		WALFaultHook:    walHook,
+		CommitProtocol:  c.opts.CommitProtocol,
+		Acceptors:       c.acceptors,
 	})
 	if err != nil {
 		return nil, err

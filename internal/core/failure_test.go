@@ -7,6 +7,7 @@ import (
 	"tabs/internal/comm"
 	"tabs/internal/core"
 	"tabs/internal/disk"
+	"tabs/internal/fault"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/stats"
 	"tabs/internal/types"
@@ -20,13 +21,17 @@ func flakyPair(t *testing.T, drop, dup float64) (*core.Node, *core.Node, func())
 	t.Helper()
 	net := comm.NewMemNetwork()
 	mk := func(name types.NodeID, seed int64) *core.Node {
-		flaky := comm.NewFlaky(net.Endpoint(name), seed, drop, dup)
+		inj := fault.New(seed, fault.Profile{Name: "datagram-loss", Rules: map[string]fault.Rule{
+			"comm.datagram.drop": {Prob: drop},
+			"comm.datagram.dup":  {Prob: dup},
+		}})
+		inj.Enable()
 		n, err := core.NewNode(core.Config{
 			ID:          name,
 			Disk:        disk.New(disk.DefaultGeometry(4096)),
 			LogSectors:  512,
 			PoolPages:   64,
-			Transport:   flaky,
+			Transport:   inj.WrapTransport(name, net.Endpoint(name)),
 			Registry:    stats.NewRegistry(),
 			LockTimeout: 2 * time.Second,
 		})

@@ -92,10 +92,6 @@ type Config struct {
 	CheckpointEvery int
 	// LockTimeout is the default data-server lock time-out.
 	LockTimeout time.Duration
-	// DisableGroupCommit makes every log Force pay its own Stable Storage
-	// Write synchronously (no batching, no append/force pipelining) —
-	// the paper-faithful commit accounting. See wal.Config.
-	DisableGroupCommit bool
 	// DisableTrace turns the per-node trace/metrics layer off entirely;
 	// every component then takes the nil-tracer fast path.
 	DisableTrace bool
@@ -203,7 +199,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.tr = trace.New(string(cfg.ID), cfg.TraceSpanCapacity)
 	}
 	n.Kernel = kernel.New(kernel.Config{Disk: cfg.Disk, PoolPages: cfg.PoolPages, Rec: kernelRec, Trace: n.tr})
-	lg, err := wal.Open(wal.Config{Disk: cfg.Disk, Base: 0, Sectors: cfg.LogSectors, Rec: walRec, Trace: n.tr, DisableGroupCommit: cfg.DisableGroupCommit, FaultHook: cfg.WALFaultHook})
+	lg, err := wal.Open(wal.Config{Disk: cfg.Disk, Base: 0, Sectors: cfg.LogSectors, Rec: walRec, Trace: n.tr, FaultHook: cfg.WALFaultHook})
 	if err != nil {
 		return nil, fmt.Errorf("core: mounting log: %w", err)
 	}

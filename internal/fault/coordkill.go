@@ -1,12 +1,14 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"tabs/internal/core"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // CoordKillOptions parameterize one coordinator-kill-after-prepare run.
@@ -87,24 +89,16 @@ func RunCoordKill(opts CoordKillOptions) (*CoordKillReport, error) {
 	copts := core.DefaultClusterOptions()
 	copts.LockTimeout = 500 * time.Millisecond
 	copts.CommitProtocol = opts.CommitProtocol
-	names := []types.NodeID{"c0", "p1", "p2"}
-	c, err := core.NewCluster(copts, names...)
+	c, err := workload.Boot(workload.Options{
+		Cluster:       copts,
+		Nodes:         []types.NodeID{"c0", "p1", "p2"},
+		Attach:        workload.IntArray("arr", 8, 500*time.Millisecond),
+		TortureTimers: true,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("coordkill: %w", err)
 	}
 	defer c.Shutdown()
-	for _, name := range names {
-		n := c.Node(name)
-		if _, err := intarray.Attach(n, "arr", 1, 8, 500*time.Millisecond); err != nil {
-			return nil, fmt.Errorf("coordkill: attach %s: %w", name, err)
-		}
-		if _, err := n.Recover(); err != nil {
-			return nil, fmt.Errorf("coordkill: recover %s: %w", name, err)
-		}
-		n.TM.Configure(75*time.Millisecond, 4, 300*time.Millisecond)
-		n.CM.CallTimeout = 150 * time.Millisecond
-		n.CM.Retries = 3
-	}
 	coord, p1, p2 := c.Node("c0"), c.Node("p1"), c.Node("p2")
 
 	// Park the coordinator's commit path forever at the kill phase. The
@@ -149,20 +143,14 @@ func RunCoordKill(opts CoordKillOptions) (*CoordKillReport, error) {
 
 	// Wait for the survivors to resolve the in-doubt transaction (or not:
 	// that is the 2PC blocking window this harness exists to demonstrate).
-	deadline := killed.Add(opts.ResolveWait)
-	for {
-		live := p1.TM.LiveTransactions() + p2.TM.LiveTransactions()
-		if live == 0 {
-			rep.Resolved = true
-			rep.ResolveMs = time.Since(killed).Milliseconds()
-			break
+	if workload.RetryUntil(killed.Add(opts.ResolveWait), 25*time.Millisecond, func() error {
+		if rep.LiveLeft = p1.TM.LiveTransactions() + p2.TM.LiveTransactions(); rep.LiveLeft > 0 {
+			return errors.New("survivors still in doubt")
 		}
-		if time.Now().After(deadline) {
-			rep.LiveLeft = live
-			break
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: resolution happens on the survivors' sweeper clocks
-		time.Sleep(25 * time.Millisecond)
+		return nil
+	}) == nil {
+		rep.Resolved = true
+		rep.ResolveMs = time.Since(killed).Milliseconds()
 	}
 
 	if rep.Resolved {

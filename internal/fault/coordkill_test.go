@@ -8,6 +8,7 @@ import (
 	"tabs/internal/fault"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // TestCoordKillBlockingWindow pins the availability difference between the
@@ -95,20 +96,16 @@ func TestLaggardWriterLearnsCommitAfterPartition(t *testing.T) {
 	copts.CommitProtocol = "paxos"
 	copts.LockTimeout = 500 * time.Millisecond
 	copts.Faults = inj
-	names := []types.NodeID{"c0", "p1", "p2"}
-	c, err := core.NewCluster(copts, names...)
+	c, err := workload.Boot(workload.Options{
+		Cluster: copts,
+		Nodes:   []types.NodeID{"c0", "p1", "p2"},
+		Attach:  workload.IntArray("arr", 8, 500*time.Millisecond),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	for _, name := range names {
-		n := c.Node(name)
-		if _, err := intarray.Attach(n, "arr", 1, 8, 500*time.Millisecond); err != nil {
-			t.Fatalf("attach %s: %v", name, err)
-		}
-		if _, err := n.Recover(); err != nil {
-			t.Fatalf("recover %s: %v", name, err)
-		}
+	for _, n := range c.Nodes() {
 		n.TM.Configure(75*time.Millisecond, 3, 300*time.Millisecond)
 	}
 	coord, p2 := c.Node("c0"), c.Node("p2")

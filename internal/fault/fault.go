@@ -239,9 +239,6 @@ func New(seed int64, profile Profile) *Injector {
 // Seed returns the plan's seed (print it with every failure).
 func (in *Injector) Seed() int64 { return in.seed }
 
-// ProfileName returns the active profile's name.
-func (in *Injector) ProfileName() string { return in.profile.Name }
-
 // ScheduleKnobs returns the harness-facing schedule parameters.
 func (in *Injector) ScheduleKnobs() Profile { return in.profile }
 

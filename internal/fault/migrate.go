@@ -11,8 +11,7 @@ package fault
 // Topology: one dedicated application node ("app") that hosts every
 // worker and never crashes, plus N data nodes ("d0".."dN-1") that host
 // the shards and take all the abuse. Keeping the coordinator alive means
-// an ambiguous EndTransaction can always be resolved against its own
-// Transaction Manager, so the model never guesses an outcome.
+// EndTransaction's answer is the outcome, so the model never guesses.
 
 import (
 	"errors"
@@ -20,12 +19,14 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tabs/internal/core"
 	"tabs/internal/nameserver"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // MigrateOptions parameterize one online-migration torture run.
@@ -70,8 +71,9 @@ const migrateFamily = "arr"
 // migrateTorture is the run state.
 type migrateTorture struct {
 	opts   MigrateOptions
-	c      *core.Cluster
+	fx     *workload.Fixture
 	app    *core.Node
+	model  *workload.Model
 	data   []types.NodeID
 	shards int
 	lockTO time.Duration
@@ -83,31 +85,25 @@ type migrateTorture struct {
 	// The placement home check keeps such stale copies from serving.
 	hosted map[types.NodeID]map[int]bool
 
-	mu        sync.Mutex // guards the report counters the workers bump
-	committed int64
-	retried   int64
-	redirects int64
+	committed, retried, redirects atomic.Int64 // bumped by the workers
 
 	rep MigrateReport
 }
 
-// workerResult is one worker's contribution to the model: the last value
-// it committed per key (workers own disjoint key sets, so the merge of
-// all results is the exact committed state).
-type workerResult struct {
-	model map[uint64]int64
-	err   error
+// shardedArray reaches the sharded array through one routing client.
+type shardedArray struct{ sc *intarray.ShardedClient }
+
+func (a shardedArray) Get(tid types.TransID, k workload.Key) (int64, error) {
+	return a.sc.Get(tid, k.Cell)
+}
+
+func (a shardedArray) Set(tid types.TransID, k workload.Key, v int64) error {
+	return a.sc.Set(tid, k.Cell, v)
 }
 
 // RunMigrate drives concurrent writers against a sharded array while
 // migrating shards between data nodes (and crash/rebooting data nodes)
-// and verifies the recovery invariants:
-//
-//  1. committed effects are durable (the array matches the model),
-//  2. aborted effects are invisible (ditto — the model ignores aborts),
-//  3. no orphaned locks (a post-churn write-all commits),
-//  4. every transaction resolves (LiveTransactions drains to zero),
-//
+// and verifies the four recovery invariants of workload.Model.Verify,
 // plus the migration-specific acceptance bar: zero worker transactions
 // fail outright — every write commits, at worst after redirect retries.
 func RunMigrate(opts MigrateOptions) (*MigrateReport, error) {
@@ -135,19 +131,6 @@ func RunMigrate(opts MigrateOptions) (*MigrateReport, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		mt.data = append(mt.data, types.NodeID(fmt.Sprintf("d%d", i)))
 	}
-	names := append([]types.NodeID{"app"}, mt.data...)
-
-	copts := core.DefaultClusterOptions()
-	copts.LogSectors = 4096
-	copts.PoolPages = 128
-	copts.LockTimeout = mt.lockTO
-	c, err := core.NewCluster(copts, names...)
-	if err != nil {
-		return nil, err
-	}
-	mt.c = c
-	defer c.Shutdown()
-	mt.app = c.Node("app")
 
 	// Shards live on the data nodes only; the app node is pure client.
 	p, err := nameserver.ComputePlacement(migrateFamily, 1, mt.shards, mt.data)
@@ -155,37 +138,43 @@ func RunMigrate(opts MigrateOptions) (*MigrateReport, error) {
 		return nil, err
 	}
 	for i, sh := range p.Shards {
-		n := c.Node(sh.Node)
-		if _, err := intarray.AttachShard(n, migrateFamily, i, intarray.ShardCells(opts.Keys, mt.shards, i), mt.lockTO); err != nil {
-			return nil, fmt.Errorf("attaching shard %d on %s: %w", i, sh.Node, err)
-		}
 		mt.noteHosted(sh.Node, i)
 	}
-	for _, name := range mt.data {
-		intarray.RegisterMigration(c.Node(name), migrateFamily, mt.lockTO)
-	}
-	for _, name := range names {
-		n := c.Node(name)
-		if _, err := n.Recover(); err != nil {
-			return nil, fmt.Errorf("recovering %s: %w", name, err)
-		}
-		mt.tune(n)
-	}
-	if err := c.ApplyPlacement(p); err != nil {
+	copts := core.DefaultClusterOptions()
+	copts.LogSectors = 4096
+	copts.PoolPages = 128
+	copts.LockTimeout = mt.lockTO
+	mt.fx, err = workload.Boot(workload.Options{
+		Cluster:       copts,
+		Nodes:         append([]types.NodeID{"app"}, mt.data...),
+		Attach:        mt.attachData,
+		TortureTimers: true,
+		Logf:          opts.Logf,
+	})
+	if err != nil {
 		return nil, err
 	}
+	defer mt.fx.Shutdown()
+	mt.app = mt.fx.Node("app")
+	if err := mt.fx.ApplyPlacement(p); err != nil {
+		return nil, err
+	}
+	keys := make([]workload.Key, opts.Keys)
+	for k := range keys {
+		keys[k].Cell = uint64(k)
+	}
+	mt.model = mt.fx.NewModel(keys)
 
 	// Workers own disjoint key sets (key % Workers == w), so each key has
-	// exactly one sequential writer and the merged per-worker models are
-	// the committed state with no cross-worker ordering to reconstruct.
+	// exactly one sequential writer.
 	stop := make(chan struct{})
-	results := make([]workerResult, opts.Workers)
+	errs := make([]error, opts.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w].model, results[w].err = mt.worker(w, stop)
+			errs[w] = mt.worker(w, stop)
 		}(w)
 	}
 
@@ -193,10 +182,8 @@ func RunMigrate(opts MigrateOptions) (*MigrateReport, error) {
 	close(stop)
 	wg.Wait()
 
-	mt.mu.Lock()
-	mt.rep.Committed, mt.rep.Retried, mt.rep.Redirects = mt.committed, mt.retried, mt.redirects
-	mt.mu.Unlock()
-	if fp := c.Placement(migrateFamily); fp != nil {
+	mt.rep.Committed, mt.rep.Retried, mt.rep.Redirects = mt.committed.Load(), mt.retried.Load(), mt.redirects.Load()
+	if fp := mt.fx.Placement(migrateFamily); fp != nil {
 		mt.rep.FinalVersion = fp.Version
 	}
 
@@ -204,16 +191,16 @@ func RunMigrate(opts MigrateOptions) (*MigrateReport, error) {
 		return &mt.rep, mt.fail(driveErr)
 	}
 	// The acceptance bar: zero failed worker transactions.
-	model := make(map[uint64]int64)
-	for w, res := range results {
-		if res.err != nil {
-			return &mt.rep, mt.fail(fmt.Errorf("worker %d lost a transaction: %w", w, res.err))
-		}
-		for k, v := range res.model {
-			model[k] = v
+	for w, err := range errs {
+		if err != nil {
+			return &mt.rep, mt.fail(fmt.Errorf("worker %d lost a transaction: %w", w, err))
 		}
 	}
-	if err := mt.finalVerify(model); err != nil {
+	sc, err := intarray.NewShardedClient(mt.app, migrateFamily)
+	if err != nil {
+		return &mt.rep, mt.fail(err)
+	}
+	if err := mt.model.Verify(mt.app, shardedArray{sc}, 1<<41, time.Now().Add(30*time.Second)); err != nil {
 		return &mt.rep, mt.fail(err)
 	}
 	return &mt.rep, nil
@@ -225,114 +212,44 @@ func (mt *migrateTorture) fail(err error) error {
 		err, mt.opts.Seed, mt.opts.Nodes, mt.opts.Workers, mt.opts.Migrations, mt.opts.Keys, mt.opts.CrashEvery)
 }
 
-// tune drops a node's protocol timers to torture scale.
-func (mt *migrateTorture) tune(n *core.Node) {
-	n.TM.Configure(75*time.Millisecond, 4, 300*time.Millisecond)
-	n.CM.CallTimeout = 150 * time.Millisecond
-	n.CM.Retries = 3
-}
-
-// worker writes its keys round-robin until stopped, recording the last
-// committed value per key. Any write that cannot be made to commit is a
-// harness failure — migrations must redirect traffic, never lose it.
-func (mt *migrateTorture) worker(w int, stop <-chan struct{}) (map[uint64]int64, error) {
+// worker writes its keys round-robin until stopped. Any write that cannot
+// be made to commit is a harness failure — migrations must redirect
+// traffic, never lose it. A migration in flight surfaces as lock waits,
+// aborts at commit, or shard-moved redirects; a crashed data node as
+// unreachable/timeout errors until its reboot — the application-level
+// retry absorbs all of them.
+func (mt *migrateTorture) worker(w int, stop <-chan struct{}) error {
 	rng := rand.New(rand.NewSource(mt.opts.Seed ^ int64(0x5EED0+w)))
 	sc, err := intarray.NewShardedClient(mt.app, migrateFamily)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var keys []uint64
-	for k := uint64(w); k < mt.opts.Keys; k += uint64(mt.opts.Workers) {
-		keys = append(keys, k)
-	}
-	model := make(map[uint64]int64)
+	// This worker's keys are those congruent to w modulo Workers.
+	mine := (mt.opts.Keys - uint64(w) + uint64(mt.opts.Workers) - 1) / uint64(mt.opts.Workers)
 	for i := 0; ; i++ {
 		select {
 		case <-stop:
-			return model, nil
+			return nil
 		default:
 		}
-		key := keys[i%len(keys)]
-		val := rng.Int63n(1 << 40)
-		if err := mt.commitWrite(sc, key, val); err != nil {
-			return model, fmt.Errorf("key %d: %w", key, err)
+		key := uint64(w) + uint64(i)%mine*uint64(mt.opts.Workers)
+		write := []workload.Write{{Key: workload.Key{Cell: key}, Val: rng.Int63n(1 << 40)}}
+		err := workload.RetryUntil(time.Now().Add(15*time.Second), 10*time.Millisecond, func() error {
+			err := mt.model.Apply(mt.app, shardedArray{sc}, write)
+			if err == nil {
+				mt.committed.Add(1)
+				return nil
+			}
+			mt.retried.Add(1)
+			if isMovedErr(err) {
+				mt.redirects.Add(1)
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("key %d: write never committed: %w", key, err)
 		}
-		model[key] = val
 	}
-}
-
-// commitWrite retries one write until it commits or patience runs out.
-// A migration in flight surfaces as lock waits, aborts at commit, or
-// shard-moved redirects; a crashed data node as unreachable/timeout
-// errors until its reboot — the application-level retry absorbs all of
-// them.
-func (mt *migrateTorture) commitWrite(sc *intarray.ShardedClient, key uint64, val int64) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		committed, err := mt.tryWrite(sc, key, val)
-		if committed {
-			mt.count(&mt.committed)
-			return nil
-		}
-		mt.count(&mt.retried)
-		if isMovedErr(err) {
-			mt.count(&mt.redirects)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("write never committed: %w", err)
-		}
-		//tabslint:ignore sleepsync deadline-retry backoff: the conflicting migration or reboot finishes on its own clock, there is no event to wait on
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// tryWrite runs one Set in its own transaction and reports whether it
-// committed. When EndTransaction surfaces an error the outcome is taken
-// from the coordinator's Transaction Manager — the app node never
-// crashes, so it always knows.
-func (mt *migrateTorture) tryWrite(sc *intarray.ShardedClient, key uint64, val int64) (bool, error) {
-	lib := mt.app.App
-	tid, err := lib.BeginTransaction(types.NilTransID)
-	if err != nil {
-		return false, err
-	}
-	if err := sc.Set(tid, key, val); err != nil {
-		_ = lib.AbortTransaction(tid)
-		return false, err
-	}
-	ok, err := lib.EndTransaction(tid)
-	if ok && err == nil {
-		return true, nil
-	}
-	if mt.awaitOutcome(tid) == types.StatusCommitted {
-		return true, nil
-	}
-	if err == nil {
-		err = errors.New("transaction aborted at commit")
-	}
-	return false, err
-}
-
-// awaitOutcome polls the coordinator for a transaction's terminal state.
-func (mt *migrateTorture) awaitOutcome(tid types.TransID) types.Status {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := mt.app.TM.Status(tid)
-		if st != types.StatusActive && st != types.StatusPrepared {
-			return st
-		}
-		if time.Now().After(deadline) {
-			return st
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: the decision resolves on the sweeper's clock
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func (mt *migrateTorture) count(c *int64) {
-	mt.mu.Lock()
-	*c++
-	mt.mu.Unlock()
 }
 
 // isMovedErr reports whether err is (or carries across the wire as) a
@@ -350,7 +267,7 @@ func (mt *migrateTorture) drive(rng *rand.Rand) error {
 	for m := 0; m < mt.opts.Migrations; m++ {
 		//tabslint:ignore sleepsync let the workers build load on the pre-move placement between moves
 		time.Sleep(120 * time.Millisecond)
-		p := mt.c.Placement(migrateFamily)
+		p := mt.fx.Placement(migrateFamily)
 		if p == nil {
 			return errors.New("placement vanished mid-run")
 		}
@@ -363,53 +280,31 @@ func (mt *migrateTorture) drive(rng *rand.Rand) error {
 		// The migration's quiesce races the workers for the shard's cell
 		// locks; a loss aborts the migration transaction (never the
 		// workers'), so just try again.
-		var lastErr error
-		moved := false
-		for attempt := 0; attempt < 8 && !moved; attempt++ {
-			if _, err := mt.c.MigrateShard(migrateFamily, shard, dest); err != nil {
-				lastErr = err
-				//tabslint:ignore sleepsync retry backoff after losing the quiesce lock race; the workers' transactions finish on their own clock
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			moved = true
-			mt.noteHosted(dest, shard)
+		if err := workload.RetryUntil(time.Now().Add(5*time.Second), 100*time.Millisecond, func() error {
+			_, err := mt.fx.MigrateShard(migrateFamily, shard, dest)
+			return err
+		}); err != nil {
+			return fmt.Errorf("move %d (%s#%d %s->%s) never succeeded: %w", m, migrateFamily, shard, home, dest, err)
 		}
-		if !moved {
-			return fmt.Errorf("move %d (%s#%d %s->%s) never succeeded: %w", m, migrateFamily, shard, home, dest, lastErr)
-		}
+		mt.noteHosted(dest, shard)
 		mt.rep.Moves++
-		mt.opts.Logf("move %d: %s#%d %s -> %s (placement v%d)", m, migrateFamily, shard, home, dest, mt.c.Placement(migrateFamily).Version)
+		mt.opts.Logf("move %d: %s#%d %s -> %s (placement v%d)", m, migrateFamily, shard, home, dest, mt.fx.Placement(migrateFamily).Version)
 		if mt.opts.CrashEvery > 0 && (m+1)%mt.opts.CrashEvery == 0 {
-			if err := mt.crashRebootOne(rng); err != nil {
+			// Crash a random data node and reboot it at once: volatile
+			// state (locks, seals, unpublished placements) is lost, the
+			// disk survives, and recovery plus the cluster's placement
+			// re-install must bring the node back serving exactly its
+			// current shards.
+			name := mt.data[rng.Intn(len(mt.data))]
+			mt.fx.Crash(name)
+			mt.rep.Crashes++
+			mt.opts.Logf("crash %s", name)
+			if _, _, err := mt.fx.Reboot(name); err != nil {
 				return err
 			}
+			mt.rep.Reboots++
 		}
 	}
-	return nil
-}
-
-// crashRebootOne crashes a random data node and reboots it immediately:
-// volatile state (locks, seals, unpublished placements) is lost, the
-// disk survives, and recovery plus the cluster's placement re-install
-// must bring the node back serving exactly its current shards.
-func (mt *migrateTorture) crashRebootOne(rng *rand.Rand) error {
-	name := mt.data[rng.Intn(len(mt.data))]
-	mt.c.Crash(name)
-	mt.rep.Crashes++
-	mt.opts.Logf("crash %s", name)
-	n, err := mt.c.Reboot(name)
-	if err != nil {
-		return fmt.Errorf("rebooting %s: %w", name, err)
-	}
-	if err := mt.attachData(n); err != nil {
-		return fmt.Errorf("re-attaching %s: %w", name, err)
-	}
-	if _, err := n.Recover(); err != nil {
-		return fmt.Errorf("recovering %s: %w", name, err)
-	}
-	mt.tune(n)
-	mt.rep.Reboots++
 	return nil
 }
 
@@ -422,11 +317,14 @@ func (mt *migrateTorture) noteHosted(name types.NodeID, shard int) {
 	mt.hosted[name][shard] = true
 }
 
-// attachData re-attaches every shard that ever lived on n — recovery
+// attachData attaches every shard that ever lived on n — recovery
 // replays log records against their segments, so even a migrated-away
 // copy must be attached (the home check keeps it from serving) — and
-// re-registers n as a migration destination.
+// registers n as a migration destination. The app node hosts nothing.
 func (mt *migrateTorture) attachData(n *core.Node) error {
+	if n.ID() == "app" {
+		return nil
+	}
 	for shard := range mt.hosted[n.ID()] {
 		if _, err := intarray.AttachShard(n, migrateFamily, shard, intarray.ShardCells(mt.opts.Keys, mt.shards, shard), mt.lockTO); err != nil {
 			return err
@@ -434,91 +332,4 @@ func (mt *migrateTorture) attachData(n *core.Node) error {
 	}
 	intarray.RegisterMigration(n, migrateFamily, mt.lockTO)
 	return nil
-}
-
-// finalVerify checks the four invariants after the churn stops.
-func (mt *migrateTorture) finalVerify(model map[uint64]int64) error {
-	deadline := time.Now().Add(30 * time.Second)
-	sc, err := intarray.NewShardedClient(mt.app, migrateFamily)
-	if err != nil {
-		return err
-	}
-
-	// Invariants 1+2: the array holds exactly the committed effects.
-	if err := mt.retryUntil(deadline, func() error { return mt.checkAll(sc, model) }); err != nil {
-		return err
-	}
-
-	// Invariant 3: no orphaned locks — one transaction writing every key
-	// (on every shard, wherever it migrated to) must commit.
-	val := int64(1) << 41
-	if err := mt.retryUntil(deadline, func() error {
-		return mt.app.App.Run(func(tid types.TransID) error {
-			for key := uint64(0); key < mt.opts.Keys; key++ {
-				if err := sc.Set(tid, key, val+int64(key)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}); err != nil {
-		return fmt.Errorf("invariant violated: post-churn write-all cannot commit (orphaned locks?): %w", err)
-	}
-	for key := uint64(0); key < mt.opts.Keys; key++ {
-		model[key] = val + int64(key)
-	}
-	if err := mt.checkAll(sc, model); err != nil {
-		return err
-	}
-
-	// Invariant 4: every transaction resolves.
-	for {
-		stuck := ""
-		for name, n := range mt.c.Nodes() {
-			if live := n.TM.LiveTransactions(); live > 0 {
-				stuck = fmt.Sprintf("%s still holds %d live transactions", name, live)
-				break
-			}
-		}
-		if stuck == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("invariant violated: %s after the churn stopped", stuck)
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: LiveTransactions drains on the sweeper's clock across nodes
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// retryUntil runs fn until it succeeds or the deadline passes (stray
-// aborting transactions may hold locks briefly after the churn stops).
-func (mt *migrateTorture) retryUntil(deadline time.Time, fn func() error) error {
-	for {
-		err := fn()
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: convergence is distributed (sweeper + lock releases on several nodes), there is no single event to wait on
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// checkAll reads every key in one transaction and compares to the model.
-func (mt *migrateTorture) checkAll(sc *intarray.ShardedClient, model map[uint64]int64) error {
-	return mt.app.App.Run(func(tid types.TransID) error {
-		for key := uint64(0); key < mt.opts.Keys; key++ {
-			v, err := sc.Get(tid, key)
-			if err != nil {
-				return err
-			}
-			if v != model[key] {
-				return fmt.Errorf("invariant violated: key %d = %d, model says %d", key, v, model[key])
-			}
-		}
-		return nil
-	})
 }

@@ -8,9 +8,9 @@ import (
 
 	"tabs/internal/core"
 	"tabs/internal/disk"
-	"tabs/internal/servers/intarray"
 	"tabs/internal/txn"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // TortureOptions parameterize one torture run.
@@ -52,50 +52,19 @@ func (r *TortureReport) String() string {
 		r.Seed, r.Profile, r.Nodes, r.Txns, r.Committed, r.Aborted, r.InDoubt, r.Crashes, r.Reboots, r.Partitions, r.Faults)
 }
 
-// modelWrite is one cell update a workload transaction attempted; the
-// model applies it only if the transaction committed.
-type modelWrite struct {
-	node types.NodeID
-	cell uint32
-	val  int64
-}
-
-// pendingTxn is a commit that returned ErrInDoubt: the decision is with
-// the acceptor quorum, not the coordinator, so the harness polls for the
-// outcome and applies the writes retroactively if it was commit.
-type pendingTxn struct {
-	tid    types.TransID
-	coord  types.NodeID
-	idx    int // schedule index, for write-order reconciliation
-	writes []modelWrite
-}
-
 // torture is the run state: a cluster of intarray nodes driven through a
 // seeded schedule of transactions, crashes, and partitions, checked against
-// an in-memory model.
+// the client model.
 type torture struct {
 	opts  TortureOptions
 	inj   *Injector
-	c     *core.Cluster
+	fx    *workload.Fixture
+	model *workload.Model
 	rng   *rand.Rand // workload schedule; independent of the fault streams
 	names []types.NodeID
 
-	// model[node][cell] is the value every committed effect implies; it is
-	// updated only when App.Run reports commit, so "committed effects
-	// durable" and "aborted effects invisible" are both checked by
-	// comparing the arrays against it.
-	model map[types.NodeID][]int64
 	down  map[types.NodeID]int // crashed nodes -> transactions left down
 	parts []partition
-
-	// In-doubt bookkeeping (paxos runs): writerIdx[node][cell] is the
-	// schedule index of the last transaction whose write the model
-	// applied to that cell, so a pending transaction resolving late never
-	// clobbers a newer committed value — it serialized BEFORE whatever
-	// acquired its locks after resolution.
-	pending   []pendingTxn
-	writerIdx map[types.NodeID][]int
-	txnIdx    int
 
 	report TortureReport
 }
@@ -106,13 +75,9 @@ type partition struct {
 }
 
 // RunTorture drives a randomized multi-node transactional workload under a
-// seeded fault schedule and verifies the recovery invariants:
-//
-//  1. committed effects are durable (arrays match the model),
-//  2. aborted effects are invisible (ditto — the model ignores aborts),
-//  3. no orphaned locks (post-heal reads and writes all succeed),
-//  4. every prepared transaction eventually resolves after partitions heal
-//     and crashed nodes restart (LiveTransactions drains to zero).
+// seeded fault schedule and verifies the four recovery invariants of
+// workload.Model.Verify once partitions are healed and crashed nodes are
+// back.
 //
 // Any violation returns an error carrying the seed and the injector's
 // fault trace, from which the run reproduces deterministically.
@@ -134,19 +99,19 @@ func RunTorture(opts TortureOptions) (*TortureReport, error) {
 		return nil, err
 	}
 	tt := &torture{
-		opts:      opts,
-		inj:       New(opts.Seed, prof),
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		model:     make(map[types.NodeID][]int64),
-		down:      make(map[types.NodeID]int),
-		writerIdx: make(map[types.NodeID][]int),
+		opts: opts,
+		inj:  New(opts.Seed, prof),
+		rng:  rand.New(rand.NewSource(opts.Seed)),
+		down: make(map[types.NodeID]int),
 	}
 	tt.report = TortureReport{Seed: opts.Seed, Profile: prof.Name, Nodes: opts.Nodes, Txns: opts.Txns}
+	var keys []workload.Key
 	for i := 0; i < opts.Nodes; i++ {
 		name := types.NodeID(fmt.Sprintf("n%d", i))
 		tt.names = append(tt.names, name)
-		tt.model[name] = make([]int64, opts.Cells)
-		tt.writerIdx[name] = make([]int, opts.Cells)
+		for cell := 1; cell <= opts.Cells; cell++ { // cells are 1-indexed
+			keys = append(keys, workload.Key{Node: name, Cell: uint64(cell)})
+		}
 	}
 
 	copts := core.DefaultClusterOptions()
@@ -155,17 +120,18 @@ func RunTorture(opts TortureOptions) (*TortureReport, error) {
 	copts.LockTimeout = 500 * time.Millisecond
 	copts.Faults = tt.inj
 	copts.CommitProtocol = opts.CommitProtocol
-	c, err := core.NewCluster(copts, tt.names...)
+	tt.fx, err = workload.Boot(workload.Options{
+		Cluster:       copts,
+		Nodes:         tt.names,
+		Attach:        workload.IntArray("arr", uint32(opts.Cells), 500*time.Millisecond),
+		TortureTimers: true,
+		Logf:          opts.Logf,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("torture: %w", err)
 	}
-	tt.c = c
-	defer c.Shutdown()
-	for _, name := range tt.names {
-		if err := tt.setupNode(name); err != nil {
-			return nil, fmt.Errorf("torture: setting up %s: %w", name, err)
-		}
-	}
+	defer tt.fx.Shutdown()
+	tt.model = tt.fx.NewModel(keys)
 
 	// Setup ran clean; arm the plan.
 	tt.inj.Enable()
@@ -183,24 +149,6 @@ func RunTorture(opts TortureOptions) (*TortureReport, error) {
 func (tt *torture) fail(err error) error {
 	return fmt.Errorf("torture: %w\nreproduce with seed=%d profile=%s nodes=%d txns=%d\nfault trace:\n%s",
 		err, tt.opts.Seed, tt.report.Profile, tt.opts.Nodes, tt.opts.Txns, tt.inj.FormatEvents())
-}
-
-// setupNode attaches the array server, recovers, and tunes the node's
-// protocol timers down to torture scale.
-func (tt *torture) setupNode(name types.NodeID) error {
-	n := tt.c.Node(name)
-	if _, err := intarray.Attach(n, "arr", 1, uint32(tt.opts.Cells), 500*time.Millisecond); err != nil {
-		return err
-	}
-	if _, err := n.Recover(); err != nil {
-		return err
-	}
-	// Short vote/orphan timers so lost phase-2 datagrams and in-doubt
-	// transactions resolve within the run, not after it.
-	n.TM.Configure(75*time.Millisecond, 4, 300*time.Millisecond)
-	n.CM.CallTimeout = 150 * time.Millisecond
-	n.CM.Retries = 3
-	return nil
 }
 
 // alive lists nodes currently up.
@@ -223,7 +171,7 @@ func (tt *torture) crashNode(name types.NodeID, why string) {
 	if len(tt.alive()) <= 1 {
 		return
 	}
-	tt.c.Crash(name)
+	tt.fx.Crash(name)
 	stay := 1
 	if k := tt.inj.ScheduleKnobs().DownTxns; k > 1 {
 		stay = 1 + tt.rng.Intn(k)
@@ -242,13 +190,8 @@ func (tt *torture) reviveDue(force bool) {
 			tt.down[name] = left - 1
 			continue
 		}
-		if _, err := tt.c.Reboot(name); err != nil {
-			tt.opts.Logf("reboot %s failed (%v); retrying later", name, err)
-			continue
-		}
-		if err := tt.setupNode(name); err != nil {
-			tt.opts.Logf("recover %s failed (%v); retrying later", name, err)
-			tt.c.Crash(name)
+		if _, _, err := tt.fx.Reboot(name); err != nil {
+			tt.opts.Logf("%v; retrying later", err)
 			continue
 		}
 		delete(tt.down, name)
@@ -318,10 +261,7 @@ func (tt *torture) run() error {
 		// Periodic mid-run check, only in quiet moments: every node up, no
 		// partitions, so in-doubt transactions can resolve promptly.
 		if t%16 == 15 && len(tt.down) == 0 && len(tt.parts) == 0 {
-			if err := tt.resolvePending(time.Now().Add(10 * time.Second)); err != nil {
-				return fmt.Errorf("mid-run (txn %d): %w", t, err)
-			}
-			if err := tt.verifyModel(10 * time.Second); err != nil {
+			if err := tt.checkModel(time.Now().Add(10 * time.Second)); err != nil {
 				return fmt.Errorf("mid-run (txn %d): %w", t, err)
 			}
 		}
@@ -330,13 +270,27 @@ func (tt *torture) run() error {
 	return nil
 }
 
+// checkModel resolves the in-doubt commits and compares the arrays with
+// the model, retrying until the deadline: stray in-doubt transactions may
+// hold locks briefly (their aborts release within a lock timeout + sweep).
+func (tt *torture) checkModel(deadline time.Time) error {
+	if err := tt.model.Resolve(deadline); err != nil {
+		return err
+	}
+	// Reads must observe the real committed state, not injected noise.
+	tt.inj.Disable()
+	defer tt.inj.Enable()
+	coord := tt.fx.Node(tt.names[0])
+	return workload.RetryUntil(deadline, 50*time.Millisecond, func() error {
+		return tt.model.Check(coord, workload.IntArrays{From: coord, ID: "arr"})
+	})
+}
+
 // runTxn executes one randomized transaction: 1–3 writes spread over 1–2
 // target nodes, coordinated from a random live node.
 func (tt *torture) runTxn(al []types.NodeID) {
-	idx := tt.txnIdx
-	tt.txnIdx++
 	coordName := al[tt.rng.Intn(len(al))]
-	coord := tt.c.Node(coordName)
+	coord := tt.fx.Node(coordName)
 	targets := []types.NodeID{al[tt.rng.Intn(len(al))]}
 	if len(al) > 1 && tt.rng.Intn(2) == 0 {
 		for {
@@ -347,146 +301,29 @@ func (tt *torture) runTxn(al []types.NodeID) {
 			}
 		}
 	}
-	var writes []modelWrite
+	var writes []workload.Write
 	for i, k := 0, 1+tt.rng.Intn(3); i < k; i++ {
-		writes = append(writes, modelWrite{
-			node: targets[tt.rng.Intn(len(targets))],
-			cell: uint32(1 + tt.rng.Intn(tt.opts.Cells)), // cells are 1-indexed
-			val:  tt.rng.Int63n(1 << 40),
+		writes = append(writes, workload.Write{
+			Key: workload.Key{Node: targets[tt.rng.Intn(len(targets))], Cell: uint64(1 + tt.rng.Intn(tt.opts.Cells))},
+			Val: tt.rng.Int63n(1 << 40),
 		})
 	}
-	clients := make(map[types.NodeID]*intarray.Client)
-	for _, tgt := range targets {
-		clients[tgt] = intarray.NewClient(coord, tgt, "arr")
-	}
-	var rootTID types.TransID
-	err := coord.App.Run(func(tid types.TransID) error {
-		rootTID = tid
-		for _, w := range writes {
-			if err := clients[w.node].Set(tid, w.cell, w.val); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err == nil {
+	switch err := tt.model.Apply(coord, workload.IntArrays{From: coord, ID: "arr"}, writes); {
+	case err == nil:
 		tt.report.Committed++
-		for _, w := range writes {
-			tt.model[w.node][w.cell-1] = w.val
-			tt.writerIdx[w.node][w.cell-1] = idx
-		}
-		return
-	}
-	if errors.Is(err, txn.ErrInDoubt) {
-		// The decision rests with the acceptor quorum, not this coordinator.
-		// Track the transaction and poll for its outcome at the next
-		// verification boundary; its writes fold into the model if and only
-		// if the quorum decided commit.
+	case errors.Is(err, txn.ErrInDoubt):
+		// Parked in the model; its writes count if and only if the quorum
+		// decided commit, learned at the next verification boundary.
 		tt.report.InDoubt++
-		tt.pending = append(tt.pending, pendingTxn{tid: rootTID, coord: coordName, idx: idx, writes: writes})
-		tt.opts.Logf("txn %d: commit in doubt (%v on %s)", idx, rootTID, coordName)
-		return
-	}
-	tt.report.Aborted++
-	// An injected log/disk failure may have wedged the coordinator's local
-	// abort mid-undo; the sweeper retries it, but crashing here also
-	// exercises the recovery path for exactly these states.
-	if errors.Is(err, disk.ErrWriteFailed) || errors.Is(err, ErrInjected) {
-		tt.crashNode(coordName, "txn hit injected I/O failure")
-	}
-}
-
-// resolvePending polls every in-doubt commit to a terminal outcome and
-// applies committed writes to the model. A write lands only if no
-// later-scheduled transaction has since committed the same cell: the
-// pending transaction held the cell's locks until its decision was
-// learned, so it serialized before anything that committed afterwards.
-func (tt *torture) resolvePending(deadline time.Time) error {
-	for len(tt.pending) > 0 {
-		keep := tt.pending[:0]
-		for _, p := range tt.pending {
-			n := tt.c.Node(p.coord)
-			if n == nil {
-				keep = append(keep, p)
-				continue
-			}
-			switch n.TM.Status(p.tid) {
-			case types.StatusCommitted:
-				for _, w := range p.writes {
-					if tt.writerIdx[w.node][w.cell-1] <= p.idx {
-						tt.model[w.node][w.cell-1] = w.val
-						tt.writerIdx[w.node][w.cell-1] = p.idx
-					}
-				}
-				tt.opts.Logf("in-doubt %v resolved: committed", p.tid)
-			case types.StatusAborted:
-				tt.opts.Logf("in-doubt %v resolved: aborted", p.tid)
-			default:
-				keep = append(keep, p)
-			}
-		}
-		tt.pending = keep
-		if len(tt.pending) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("invariant violated: %d in-doubt commits never resolved (first: %v on %s)",
-				len(tt.pending), tt.pending[0].tid, tt.pending[0].coord)
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: the replicated decision resolves on the sweeper's clock across nodes
-		time.Sleep(50 * time.Millisecond)
-	}
-	return nil
-}
-
-// verifyModel reads every cell of every node and compares against the
-// model, retrying until deadline: stray in-doubt transactions may hold
-// locks briefly (their aborts release within a lock timeout + sweep).
-func (tt *torture) verifyModel(patience time.Duration) error {
-	// Reads must observe the real committed state, not injected noise.
-	tt.inj.Disable()
-	defer tt.inj.Enable()
-	deadline := time.Now().Add(patience)
-	var lastErr error
-	for {
-		lastErr = tt.checkAllCells()
-		if lastErr == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return lastErr
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: convergence is distributed (sweeper + lock releases on several nodes), there is no single event to wait on
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// checkAllCells performs one full read pass against the model.
-func (tt *torture) checkAllCells() error {
-	for _, name := range tt.names {
-		n := tt.c.Node(name)
-		if n == nil {
-			return fmt.Errorf("node %s not up for verification", name)
-		}
-		cl := intarray.NewClient(n, name, "arr")
-		want := tt.model[name]
-		err := n.App.Run(func(tid types.TransID) error {
-			for cell := 1; cell <= tt.opts.Cells; cell++ {
-				v, err := cl.Get(tid, uint32(cell))
-				if err != nil {
-					return err
-				}
-				if v != want[cell-1] {
-					return fmt.Errorf("invariant violated: %s cell %d = %d, model says %d", name, cell, v, want[cell-1])
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", name, err)
+	default:
+		tt.report.Aborted++
+		// An injected log/disk failure may have wedged the coordinator's
+		// local abort mid-undo; the sweeper retries it, but crashing here
+		// also exercises the recovery path for exactly these states.
+		if errors.Is(err, disk.ErrWriteFailed) || errors.Is(err, ErrInjected) {
+			tt.crashNode(coordName, "txn hit injected I/O failure")
 		}
 	}
-	return nil
 }
 
 // finalVerify heals everything, disables injection, restarts every down
@@ -496,91 +333,15 @@ func (tt *torture) finalVerify() error {
 	tt.inj.Disable()
 	tt.parts = nil
 	deadline := time.Now().Add(30 * time.Second)
-	for len(tt.down) > 0 {
+	if err := workload.RetryUntil(deadline, 100*time.Millisecond, func() error {
 		tt.reviveDue(true)
-		if len(tt.down) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
+		if len(tt.down) > 0 {
 			return fmt.Errorf("nodes still down after heal: %v", tt.down)
 		}
-		//tabslint:ignore sleepsync deadline-retry poll around whole-node reboot; no event to wait on
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	// In-doubt commits must reach a terminal outcome before the model is
-	// trustworthy: the quorum's decision determines whether their writes
-	// count as committed effects.
-	if err := tt.resolvePending(deadline); err != nil {
-		return err
-	}
-
-	// Invariants 1+2: durable exactly the committed effects.
-	if err := tt.verifyModel(time.Until(deadline)); err != nil {
-		return err
-	}
-
-	// Invariant 3: no orphaned locks — a transaction touching every cell
-	// on every node must be able to commit.
-	var lastErr error
-	for {
-		lastErr = tt.writeAll()
-		if lastErr == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("invariant violated: post-heal write-all cannot commit (orphaned locks?): %w", lastErr)
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: in-doubt transactions resolve on the sweeper's clock across nodes
-		time.Sleep(100 * time.Millisecond)
-	}
-	if err := tt.checkAllCells(); err != nil {
-		return err
-	}
-
-	// Invariant 4: every transaction (prepared in-doubt included) resolves.
-	for {
-		stuck := ""
-		for _, name := range tt.names {
-			if live := tt.c.Node(name).TM.LiveTransactions(); live > 0 {
-				stuck = fmt.Sprintf("%s still holds %d live transactions", name, live)
-				break
-			}
-		}
-		if stuck == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("invariant violated: %s after heal + quiesce", stuck)
-		}
-		//tabslint:ignore sleepsync deadline-retry poll: LiveTransactions drains on the sweeper's clock across nodes
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// writeAll commits one distributed transaction writing a fresh value to
-// every cell of every node, updating the model on success.
-func (tt *torture) writeAll() error {
-	coord := tt.c.Node(tt.names[0])
-	val := tt.rng.Int63n(1 << 40)
-	err := coord.App.Run(func(tid types.TransID) error {
-		for _, name := range tt.names {
-			cl := intarray.NewClient(coord, name, "arr")
-			for cell := 1; cell <= tt.opts.Cells; cell++ {
-				if err := cl.Set(tid, uint32(cell), val+int64(cell)); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	for _, name := range tt.names {
-		for cell := 1; cell <= tt.opts.Cells; cell++ {
-			tt.model[name][cell-1] = val + int64(cell)
-		}
-	}
-	return nil
+	coord := tt.fx.Node(tt.names[0])
+	return tt.model.Verify(coord, workload.IntArrays{From: coord, ID: "arr"}, tt.rng.Int63n(1<<40), deadline)
 }

@@ -8,6 +8,7 @@ import (
 	"tabs/internal/fault"
 	"tabs/internal/servers/intarray"
 	"tabs/internal/types"
+	"tabs/internal/workload"
 )
 
 // TestTortureSmoke is the CI smoke run: a fixed seed, three nodes, fifty
@@ -52,8 +53,7 @@ func TestTortureCrashProfile(t *testing.T) {
 
 // TestSessionFaultsAtMostOnce drives sequential increment transactions
 // between two nodes while the net profile drops, duplicates, delays, and
-// reorders BOTH datagram and session traffic — the coverage the deprecated
-// comm.FlakyTransport (datagram-only) never had. Every committed increment
+// reorders BOTH datagram and session traffic. Every committed increment
 // must be applied exactly once: the session layer's (From, Epoch, Seq)
 // dedup is what makes duplicated session envelopes safe.
 func TestSessionFaultsAtMostOnce(t *testing.T) {
@@ -64,19 +64,16 @@ func TestSessionFaultsAtMostOnce(t *testing.T) {
 	inj := fault.New(99, prof)
 	opts := core.DefaultClusterOptions()
 	opts.Faults = inj
-	c, err := core.NewCluster(opts, "a", "b")
+	c, err := workload.Boot(workload.Options{
+		Cluster: opts,
+		Nodes:   []types.NodeID{"a", "b"},
+		Attach:  workload.IntArray("arr", 8, 2*time.Second),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	for _, name := range []types.NodeID{"a", "b"} {
-		n := c.Node(name)
-		if _, err := intarray.Attach(n, "arr", 1, 8, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := n.Recover(); err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range c.Nodes() {
 		n.TM.Configure(75*time.Millisecond, 6, 0)
 		n.CM.CallTimeout = 150 * time.Millisecond
 		n.CM.Retries = 8

@@ -10,9 +10,9 @@ import (
 )
 
 // transport wraps a node's comm.Transport with the injector's network
-// fault model. Unlike the deprecated comm.FlakyTransport (datagram-only),
-// it subjects BOTH traffic kinds to the plan: the commit protocol's
-// datagrams and the session RPCs that carry remote data-server calls.
+// fault model. It subjects BOTH traffic kinds to the plan: the commit
+// protocol's datagrams and the session RPCs that carry remote data-server
+// calls.
 // Dropping or duplicating a session envelope is safe to inject because the
 // session layer retransmits on timeout and dedups by (From, Epoch, Seq);
 // the fault model is exactly what that machinery exists for.

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tabs/internal/kernel"
 	"tabs/internal/simclock"
@@ -122,6 +123,9 @@ type Manager struct {
 	pinnedLow wal.LSN
 	// acp, when set, has its acceptor state checkpointed and restored.
 	acp ACPSource
+	// reclaiming is held by the one finishing transaction that found the
+	// log nearly full and is reclaiming on everyone's behalf.
+	reclaiming atomic.Bool
 }
 
 // Config parameterizes a Manager.
@@ -441,7 +445,13 @@ func (m *Manager) finish(tid types.TransID, st types.Status) {
 			m.tr.Count("recovery.checkpoint.errors", 1)
 		}
 	}
-	if m.log.NearlyFull() {
+	// Single flight: while the log stays nearly full every finishing
+	// transaction sees it so, and each reclamation is a page flush, a
+	// forced checkpoint and an anchor write. One reclaims; the rest move
+	// on. (An append that finds the log outright full still reclaims for
+	// itself, blocking — it needs the space.)
+	if m.log.NearlyFull() && m.reclaiming.CompareAndSwap(false, true) {
+		defer m.reclaiming.Store(false)
 		if err := m.Reclaim(); err != nil {
 			m.tr.Count("recovery.reclaim.errors", 1)
 		}

@@ -2,10 +2,13 @@ package recovery
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+	"time"
 
 	"tabs/internal/disk"
 	"tabs/internal/kernel"
+	"tabs/internal/trace"
 	"tabs/internal/types"
 	"tabs/internal/wal"
 )
@@ -429,5 +432,68 @@ func TestValueRecoveryOverlappingObjects(t *testing.T) {
 	}
 	if !bytes.Equal(rest, []byte{0xAA, 0xAA, 0xAA, 0xAA}) {
 		t.Errorf("bytes outside the cell = %x, want the page image", rest)
+	}
+}
+
+// TestNearlyFullReclaimIsSingleFlight pins the stampede fix: while an old
+// active transaction keeps the log nearly full, every finishing
+// transaction sees NearlyFull, and before the fix each one ran its own
+// reclamation (page flush, forced checkpoint, anchor write). N concurrent
+// commits must now share about one — and once the old transaction is
+// gone, the next finish must still free the space.
+func TestNearlyFullReclaimIsSingleFlight(t *testing.T) {
+	d := disk.New(disk.DefaultGeometry(1024))
+	k := kernel.New(kernel.Config{Disk: d, PoolPages: 32})
+	if err := k.AddSegment(1, 512, 16); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New("n", 16)
+	lg, err := wal.Open(wal.Config{Disk: d, Base: 0, Sectors: 256, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := New(Config{Log: lg, Kernel: k, CheckpointEvery: 1 << 30, Trace: tr})
+	r := &rig{d: d, k: k, lg: lg, rm: rm}
+	reclaims := func() float64 { return tr.MetricsSnapshot()["recovery.reclaim.count"].Value }
+
+	// tid(1) stays active: its first record bounds the low-water mark, so
+	// no reclamation can take the log out of the nearly-full band.
+	r.write(t, tid(1), "pin!")
+	next := uint64(2)
+	for ; !lg.NearlyFull(); next++ {
+		r.write(t, tid(next), "fill")
+		if err := rm.LogCommit(tid(next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const n = 32
+	for i := uint64(0); i < n; i++ {
+		r.write(t, tid(next+i), "race")
+	}
+	// Real time per disk access, so reclamations are long enough to overlap.
+	d.SetIOHook(func(float64, bool) { time.Sleep(200 * time.Microsecond) })
+	before := reclaims()
+	var wg sync.WaitGroup
+	for i := uint64(0); i < n; i++ {
+		wg.Add(1)
+		go func(id types.TransID) {
+			defer wg.Done()
+			if err := rm.LogCommit(id); err != nil {
+				t.Error(err)
+			}
+		}(tid(next + i))
+	}
+	wg.Wait()
+	d.SetIOHook(nil)
+	if got := reclaims() - before; got < 1 || got > 4 {
+		t.Errorf("%d concurrent commits on a nearly-full log ran %v reclamations, want 1..4", n, got)
+	}
+
+	if err := rm.LogCommit(tid(1)); err != nil {
+		t.Fatal(err)
+	}
+	if lg.NearlyFull() {
+		t.Errorf("log still nearly full (%d bytes left) after the pinning transaction finished", lg.SpaceLeft())
 	}
 }

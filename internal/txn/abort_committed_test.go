@@ -58,7 +58,7 @@ func TestAbortTreeRefusesCommittedTransaction(t *testing.T) {
 	m.mu.Lock()
 	lt.resolvedAbort = true
 	m.mu.Unlock()
-	if err := m.abortTree(lt, false); err != nil {
+	if err := m.abortTree(lt); err != nil {
 		t.Fatalf("abortTree on committed txn errored: %v", err)
 	}
 
@@ -88,13 +88,13 @@ func TestAbortTreeStillAbortsPrepared(t *testing.T) {
 	m.mu.Unlock()
 
 	// Without an authoritative outcome the in-doubt guard refuses.
-	if err := m.abortTree(lt, false); !errors.Is(err, ErrInDoubt) {
+	if err := m.abortTree(lt); !errors.Is(err, ErrInDoubt) {
 		t.Fatalf("presumed abort of replicated-prepared txn: %v", err)
 	}
 	m.mu.Lock()
 	lt.resolvedAbort = true
 	m.mu.Unlock()
-	if err := m.abortTree(lt, false); err != nil {
+	if err := m.abortTree(lt); err != nil {
 		t.Fatalf("authoritative abort failed: %v", err)
 	}
 	if st := m.Status(top); st != types.StatusAborted {

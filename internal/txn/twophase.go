@@ -309,7 +309,7 @@ func (m *Manager) commitTree(lt *localTrans) (bool, error) {
 	// if the configured set changes mid-flight.
 	prot := m.getProtocol()
 	var acceptors []types.NodeID
-	if prot.Replicated() {
+	if prot != nil {
 		acceptors = prot.Acceptors()
 	}
 	var writers []types.NodeID
@@ -328,7 +328,7 @@ func (m *Manager) commitTree(lt *localTrans) (bool, error) {
 		}
 		if abort {
 			sp.Annotate("outcome=abort").End()
-			if err := m.abortTree(lt, true); err != nil {
+			if err := m.abortTree(lt); err != nil {
 				return false, err
 			}
 			return false, nil
@@ -350,7 +350,7 @@ func (m *Manager) commitTree(lt *localTrans) (bool, error) {
 
 	m.fireHook(lt.top, "decide")
 
-	if prot.Replicated() {
+	if prot != nil {
 		return m.commitReplicated(lt, sp, prot, acceptors, writers)
 	}
 
@@ -361,7 +361,7 @@ func (m *Manager) commitTree(lt *localTrans) (bool, error) {
 	// batching).
 	if err := m.rm.LogCommit(lt.top); err != nil {
 		sp.Annotate("outcome=abort").EndErr(err)
-		if aerr := m.abortTree(lt, true); aerr != nil {
+		if aerr := m.abortTree(lt); aerr != nil {
 			return false, fmt.Errorf("txn: commit force failed (%v); abort also failed: %w", err, aerr)
 		}
 		return false, nil
@@ -395,7 +395,7 @@ func (m *Manager) commitReplicated(lt *localTrans, sp *trace.ActiveSpan, prot ac
 	if err := m.rm.LogPrepare(lt.top, rootPrep); err != nil {
 		// Nothing proposed yet: aborting is still this node's privilege.
 		sp.Annotate("outcome=abort").EndErr(err)
-		if aerr := m.abortTree(lt, true); aerr != nil {
+		if aerr := m.abortTree(lt); aerr != nil {
 			return false, fmt.Errorf("txn: root prepare failed (%v); abort also failed: %w", err, aerr)
 		}
 		return false, nil
@@ -478,7 +478,7 @@ func (m *Manager) commitReplicated(lt *localTrans, sp *trace.ActiveSpan, prot ac
 // releases are no-ops the second time. Before this restructure a failed
 // undo flipped the state to stAborted and every later call returned
 // immediately, stranding the transaction's locks forever.
-func (m *Manager) abortTree(lt *localTrans, _ bool) error {
+func (m *Manager) abortTree(lt *localTrans) error {
 	m.mu.Lock()
 	if (lt.state == stAborted && lt.undone) || lt.aborting {
 		m.mu.Unlock()
@@ -628,7 +628,7 @@ func (m *Manager) participantPrepare(parent types.NodeID, top types.TransID, acc
 		}
 	}
 	if abort {
-		_ = m.abortTree(lt, false)
+		_ = m.abortTree(lt)
 		sp.Annotate("vote=abort").End()
 		vote(dgVoteAbort)
 		return
@@ -649,7 +649,7 @@ func (m *Manager) participantPrepare(parent types.NodeID, top types.TransID, acc
 
 	prep := &wal.PrepareBody{Parent: parent, Children: writers, Acceptors: acceptors}
 	if err := m.rm.LogPrepare(top, prep); err != nil {
-		_ = m.abortTree(lt, false)
+		_ = m.abortTree(lt)
 		sp.Annotate("vote=abort").EndErr(err)
 		vote(dgVoteAbort)
 		return
@@ -728,8 +728,8 @@ func (m *Manager) participantCommit(parent types.NodeID, top types.TransID) {
 		// commit record — the acceptors may forget the decision. With a
 		// laggard child outstanding the entries must stay: it still has to
 		// learn the outcome from the quorum.
-		if len(prep.Acceptors) > 0 && allAcked {
-			m.getProtocol().Finished(top, prep.Acceptors)
+		if prot := m.getProtocol(); len(prep.Acceptors) > 0 && allAcked && prot != nil {
+			prot.Finished(top, prep.Acceptors)
 		} else if len(prep.Acceptors) > 0 {
 			m.tr.Count("txn.finished.deferred", 1)
 		}
@@ -750,7 +750,7 @@ func (m *Manager) participantAbort(parent types.NodeID, top types.TransID) {
 	}
 	m.mu.Unlock()
 	if lt != nil {
-		_ = m.abortTree(lt, false)
+		_ = m.abortTree(lt)
 	}
 	_ = m.cm.SendDatagram(parent, Service, top, encodeDG(dgAck, types.StatusUnknown), 0)
 }
@@ -840,7 +840,7 @@ func (m *Manager) resolveWhenStuck(lt *localTrans, parent types.NodeID) {
 		m.mu.Lock()
 		lt.resolvedAbort = true
 		m.mu.Unlock()
-		_ = m.abortTree(lt, false)
+		_ = m.abortTree(lt)
 	}
 }
 
@@ -856,7 +856,7 @@ func (m *Manager) resolveOutcome(lt *localTrans, parent types.NodeID) types.Stat
 	prep := lt.prep
 	prot := m.protocol
 	m.mu.Unlock()
-	if prep != nil && len(prep.Acceptors) > 0 && prot.Replicated() {
+	if prep != nil && len(prep.Acceptors) > 0 && prot != nil {
 		return prot.ResolveInDoubt(lt.top, prep)
 	}
 	if parent == "" || m.cm == nil {
@@ -950,7 +950,7 @@ func (m *Manager) queryStatus(top types.TransID, peer types.NodeID) types.Status
 // coordinator never comes back.
 func (m *Manager) ResolveStatus(tid types.TransID, prep *wal.PrepareBody) types.Status {
 	if prep != nil && len(prep.Acceptors) > 0 && m.cm != nil {
-		if prot := m.getProtocol(); prot.Replicated() {
+		if prot := m.getProtocol(); prot != nil {
 			return prot.ResolveInDoubt(tid.TopLevel(), prep)
 		}
 	}

@@ -307,7 +307,7 @@ func TestAbortRetriesAfterUndoFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.abortTree(lt, false); err != nil {
+	if err := m.abortTree(lt); err != nil {
 		t.Fatalf("retry abort: %v", err)
 	}
 	if m.LiveTransactions() != 0 {

@@ -128,11 +128,12 @@ type Manager struct {
 	mu    sync.Mutex
 	seq   uint64
 	trans map[types.TransID]*localTrans // keyed by top-level TID
-	// protocol decides how a top-level commit becomes durable (acp
-	// package): twopc — the default, the paper's coordinator-forces-the-
-	// commit-record — or a replicated protocol installed with SetProtocol.
+	// protocol decides how a top-level commit becomes durable: nil — the
+	// default — is the paper's two-phase commit, where the coordinator's
+	// forced commit record is the decision and in-doubt participants ask
+	// the parent named in their prepare record; otherwise a replicated
+	// protocol (acp package) installed with SetProtocol.
 	protocol acp.Protocol
-	twopc    *acp.TwoPhase
 	// decideHook, when set, is called at the commit decision point with
 	// phase "decide" (before the decision is attempted) and "decided"
 	// (after the outcome is durably established). Fault-injection harnesses
@@ -154,6 +155,9 @@ type Manager struct {
 	orphanTimeout time.Duration
 
 	stopSweep chan struct{}
+	// retime wakes the orphan sweeper out of a sleep it sized from an
+	// orphan time-out that Configure has since changed.
+	retime chan struct{}
 }
 
 type waitKey struct {
@@ -177,26 +181,8 @@ func New(node types.NodeID, rm RecoveryManager, cm CommManager, rec *stats.Recor
 		retries:       4,
 		orphanTimeout: 30 * time.Second,
 		stopSweep:     make(chan struct{}),
+		retime:        make(chan struct{}, 1),
 	}
-	// The default commit protocol is the paper's two-phase commit, adapted
-	// to the acp.Protocol interface: the decision is the coordinator's
-	// forced commit record, and in-doubt resolution asks the parent named
-	// in the prepare record (staying in doubt — the 2PC blocking window —
-	// when it cannot be reached).
-	m.twopc = acp.NewTwoPhase(
-		func(tid types.TransID) error { return m.rm.LogCommit(tid) },
-		func(tid types.TransID, prep *wal.PrepareBody) types.Status {
-			if prep == nil || prep.Parent == "" || m.cm == nil {
-				return types.StatusPrepared
-			}
-			st := m.queryStatus(tid.TopLevel(), prep.Parent)
-			if st == types.StatusUnknown {
-				return types.StatusPrepared
-			}
-			return st
-		},
-	)
-	m.protocol = m.twopc
 	if cm != nil {
 		cm.RegisterService(Service, m.handleDatagram)
 		go m.orphanSweeper()
@@ -212,10 +198,6 @@ func New(node types.NodeID, rm RecoveryManager, cm CommManager, rec *stats.Recor
 func (m *Manager) SetProtocol(p acp.Protocol) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p == nil {
-		m.protocol = m.twopc
-		return
-	}
 	m.protocol = p
 }
 
@@ -271,6 +253,10 @@ func (m *Manager) Configure(vote time.Duration, retries int, orphan time.Duratio
 	}
 	if orphan > 0 {
 		m.orphanTimeout = orphan
+		select {
+		case m.retime <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
 }
 
@@ -295,6 +281,10 @@ func (m *Manager) orphanSweeper() {
 		select {
 		case <-m.stopSweep:
 			return
+		case <-m.retime:
+			// The sleep above was a third of the old time-out (ten seconds
+			// by default); start over on the new one.
+			continue
 		case <-time.After(interval):
 		}
 		m.sweepOrphans()
@@ -364,7 +354,7 @@ func (m *Manager) sweepOrphans() {
 	for _, c := range cands {
 		if c.class == candAbortRetry {
 			m.tr.Count("txn.abort.retries", 1)
-			_ = m.abortTree(c.lt, false)
+			_ = m.abortTree(c.lt)
 			continue
 		}
 		var st types.Status
@@ -381,7 +371,7 @@ func (m *Manager) sweepOrphans() {
 				m.mu.Lock()
 				c.lt.resolvedAbort = true
 				m.mu.Unlock()
-				_ = m.abortTree(c.lt, false)
+				_ = m.abortTree(c.lt)
 			default:
 				// Coordinator unreachable or still deciding: a prepared
 				// participant must stay in doubt (the 2PC blocking
@@ -394,7 +384,7 @@ func (m *Manager) sweepOrphans() {
 		}
 		switch st {
 		case types.StatusAborted:
-			_ = m.abortTree(c.lt, false)
+			_ = m.abortTree(c.lt)
 		case types.StatusUnknown:
 			// No coordinator answered at all. The transaction is still
 			// ACTIVE here — it never prepared — so this node may abort
@@ -404,7 +394,7 @@ func (m *Manager) sweepOrphans() {
 			stillActive := c.lt.state == stActive
 			m.mu.Unlock()
 			if stillActive {
-				_ = m.abortTree(c.lt, false)
+				_ = m.abortTree(c.lt)
 			}
 		default:
 			// The coordinator is alive and the transaction is genuinely
@@ -685,7 +675,7 @@ func (m *Manager) Abort(tid types.TransID) error {
 	if !tid.IsTopLevel() {
 		return m.abortSub(lt, tid)
 	}
-	return m.abortTree(lt, true)
+	return m.abortTree(lt)
 }
 
 // abortSub aborts one subtransaction and every active descendant of it.

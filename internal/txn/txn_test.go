@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tabs/internal/comm"
+	"tabs/internal/fault"
 	"tabs/internal/txn"
 	"tabs/internal/types"
 	"tabs/internal/wal"
@@ -398,8 +399,12 @@ func TestCommitSurvivesDatagramLoss(t *testing.T) {
 	// Wrap A's transport to drop a third of datagrams: the retry logic
 	// must still drive 2PC to completion.
 	net := comm.NewMemNetwork()
-	flakyA := comm.NewFlaky(net.Endpoint("A"), 7, 0.33, 0.1)
-	cmA := comm.New("A", flakyA, nil)
+	inj := fault.New(7, fault.Profile{Name: "datagram-loss", Rules: map[string]fault.Rule{
+		"comm.datagram.drop": {Prob: 0.33},
+		"comm.datagram.dup":  {Prob: 0.1},
+	}})
+	inj.Enable()
+	cmA := comm.New("A", inj.WrapTransport("A", net.Endpoint("A")), nil)
 	cmB := comm.New("B", net.Endpoint("B"), nil)
 	rmA, rmB := newFakeRM(), newFakeRM()
 	tmA := txn.New("A", rmA, cmA, nil)

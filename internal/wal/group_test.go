@@ -17,7 +17,7 @@ import (
 // fraction of its modelled latency, so forces take real wall time and
 // concurrent committers pile up behind an in-flight batch the way they do
 // behind a physical arm.
-func slowLog(t *testing.T, sectors int64, perMillis time.Duration, noGroup bool) (*Log, *disk.Disk, *stats.Recorder, *trace.Tracer) {
+func slowLog(t *testing.T, sectors int64, perMillis time.Duration) (*Log, *disk.Disk, *stats.Recorder, *trace.Tracer) {
 	t.Helper()
 	d := disk.New(disk.DefaultGeometry(sectors + 16))
 	if perMillis > 0 {
@@ -27,7 +27,7 @@ func slowLog(t *testing.T, sectors int64, perMillis time.Duration, noGroup bool)
 	}
 	rec := stats.NewRecorder()
 	tr := trace.New("t", 64)
-	lg, err := Open(Config{Disk: d, Base: 0, Sectors: sectors, Rec: rec, Trace: tr, DisableGroupCommit: noGroup})
+	lg, err := Open(Config{Disk: d, Base: 0, Sectors: sectors, Rec: rec, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func slowLog(t *testing.T, sectors int64, perMillis time.Duration, noGroup bool)
 // mean group size above one.
 func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	const workers, perWorker = 8, 12
-	lg, _, rec, tr := slowLog(t, 1024, 10*time.Microsecond, false)
+	lg, _, rec, tr := slowLog(t, 1024, 10*time.Microsecond)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -129,7 +129,7 @@ func TestAppendDoesNotBlockBehindForce(t *testing.T) {
 // record must stay readable and the log prefix-consistent.
 func TestConcurrentCommitRacingReclaim(t *testing.T) {
 	const workers, perWorker = 6, 25
-	lg, _, _, _ := slowLog(t, 64, 0, false) // tiny log: reclamation matters
+	lg, _, _, _ := slowLog(t, 64, 0) // tiny log: reclamation matters
 
 	acked := make(chan LSN, workers*perWorker)
 	var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestConcurrentCommitRacingReclaim(t *testing.T) {
 // (b) every commit acked before the snapshot to be present in it.
 func TestCrashMidForceRecoversPrefix(t *testing.T) {
 	const workers, perWorker, snapshots = 4, 30, 8
-	lg, d, _, _ := slowLog(t, 2048, 2*time.Microsecond, false)
+	lg, d, _, _ := slowLog(t, 2048, 2*time.Microsecond)
 
 	var mu sync.Mutex
 	ackedSet := make(map[LSN]bool)
@@ -283,7 +283,7 @@ func TestCrashMidForceRecoversPrefix(t *testing.T) {
 // the write error to its leader, leave the log consistent, and succeed on
 // retry.
 func TestForceFailurePropagatesAndRetries(t *testing.T) {
-	lg, d, rec, _ := slowLog(t, 64, 0, false)
+	lg, d, rec, _ := slowLog(t, 64, 0)
 	if _, err := lg.Append(&Record{TID: tid(1), Type: RecCommit}); err != nil {
 		t.Fatal(err)
 	}
@@ -309,66 +309,39 @@ func TestForceFailurePropagatesAndRetries(t *testing.T) {
 	}
 }
 
-// TestDisableGroupCommitSynchronousSemantics covers the paper-faithful
-// knob: one stable write per force, buffer drained under the mutex.
-func TestDisableGroupCommitSynchronousSemantics(t *testing.T) {
-	lg, _, rec, tr := slowLog(t, 64, 0, true)
-	for i := 1; i <= 3; i++ {
-		if _, err := lg.AppendAndForce(&Record{TID: tid(uint64(i)), Type: RecCommit}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := rec.Snapshot(stats.PreCommit)[simclock.StableWrite]; got != 3 {
-		t.Errorf("synchronous mode: %g stable writes for 3 commits, want 3", got)
-	}
-	if gs := tr.MetricsSnapshot()["wal.force.group_size"]; gs.Count != 0 {
-		t.Errorf("synchronous mode recorded group sizes: %+v", gs)
-	}
-	if lg.DurableLSN() != lg.NextLSN() {
-		t.Errorf("log not durable after synchronous forces")
-	}
-}
-
 // BenchmarkGroupCommit measures commit throughput (AppendAndForce from
-// parallel goroutines) with group commit on and off, against a disk whose
-// latency model is scaled into real time. The CI smoke step runs this with
-// -benchtime=1x to keep it from bit-rotting.
+// parallel goroutines) against a disk whose latency model is scaled into
+// real time. The CI smoke step runs this with -benchtime=1x to keep it
+// from bit-rotting.
 func BenchmarkGroupCommit(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noGroup bool
-	}{{"grouped", false}, {"nogroup", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			d := disk.New(disk.DefaultGeometry(1 << 16))
-			d.SetIOHook(func(ms float64, _ bool) {
-				time.Sleep(time.Duration(ms * float64(5*time.Microsecond)))
-			})
-			rec := stats.NewRecorder()
-			lg, err := Open(Config{Disk: d, Base: 0, Sectors: 1 << 15, Rec: rec, DisableGroupCommit: mode.noGroup})
-			if err != nil {
-				b.Fatal(err)
+	d := disk.New(disk.DefaultGeometry(1 << 16))
+	d.SetIOHook(func(ms float64, _ bool) {
+		time.Sleep(time.Duration(ms * float64(5*time.Microsecond)))
+	})
+	rec := stats.NewRecorder()
+	lg, err := Open(Config{Disk: d, Base: 0, Sectors: 1 << 15, Rec: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seq uint64
+	var seqMu sync.Mutex
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			seqMu.Lock()
+			seq++
+			s := seq
+			seqMu.Unlock()
+			if _, err := lg.AppendAndForce(&Record{TID: tid(s), Type: RecCommit}); err != nil {
+				b.Error(err)
+				return
 			}
-			var seq uint64
-			var seqMu sync.Mutex
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					seqMu.Lock()
-					seq++
-					s := seq
-					seqMu.Unlock()
-					if _, err := lg.AppendAndForce(&Record{TID: tid(s), Type: RecCommit}); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			writes := rec.Snapshot(stats.PreCommit)[simclock.StableWrite]
-			if b.N > 0 {
-				b.ReportMetric(writes/float64(b.N), "stablewrites/txn")
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	writes := rec.Snapshot(stats.PreCommit)[simclock.StableWrite]
+	if b.N > 0 {
+		b.ReportMetric(writes/float64(b.N), "stablewrites/txn")
 	}
 }

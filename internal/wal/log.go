@@ -29,10 +29,9 @@ import (
 // batch. Append and force are pipelined: because the leader flushes a
 // snapshot without holding the log mutex, Append never blocks behind an
 // in-flight disk write — newly appended records simply land in the next
-// batch. Config.DisableGroupCommit restores the original synchronous
-// behavior (one write per Force, performed under the mutex) for faithful
-// reproduction of the paper's per-transaction commit accounting
-// (Tables 5-2/5-3).
+// batch. A lone committer always leads its own batch of one, so the
+// sequential Section 5 benchmarks count exactly one Stable Storage Write
+// per force (Tables 5-2/5-3).
 //
 // Physical layout: the first sector of the region is the anchor (checkpoint
 // pointer and low-water mark); the remaining sectors hold the record stream
@@ -45,8 +44,7 @@ type Log struct {
 	rec  *stats.Recorder
 	tr   *trace.Tracer
 
-	noGroup bool      // Config.DisableGroupCommit
-	fh      FaultHook // Config.FaultHook
+	fh FaultHook // Config.FaultHook
 
 	lowLSN     LSN // oldest retained byte (record boundary)
 	durableLSN LSN // everything below is on disk
@@ -88,15 +86,6 @@ type Config struct {
 	Sectors int64     // total sectors including the anchor
 	Rec     *stats.Recorder
 	Trace   *trace.Tracer
-	// DisableGroupCommit turns off group commit and append/force
-	// pipelining: every Force performs its own disk write synchronously
-	// while holding the log mutex, exactly as the paper's TABS charged one
-	// Stable Storage Write per committing transaction. Group commit keeps
-	// per-force accounting compatible with Table 5-1 (a group force is
-	// still one Stable Storage Write), but under concurrency it changes
-	// how many forces N committers pay; disable it to reproduce the
-	// Table 5-2/5-3 per-transaction counts with no amortization possible.
-	DisableGroupCommit bool
 	// FaultHook, when set, is consulted at named points before the log
 	// touches state: "wal.append" just before a record is admitted to the
 	// volatile buffer, and "wal.force" just before a batch goes to disk. A
@@ -114,18 +103,17 @@ type FaultHook func(point string) error
 // recovery must (§3.2.2). A region whose anchor is unwritten is formatted
 // as an empty log.
 func Open(cfg Config) (*Log, error) {
-	if cfg.Sectors < 2 {
-		return nil, fmt.Errorf("wal: region needs at least 2 sectors, got %d", cfg.Sectors)
+	if cfg.Sectors < 3 {
+		return nil, fmt.Errorf("wal: region needs at least 3 sectors (anchor, data, one of slack), got %d", cfg.Sectors)
 	}
 	l := &Log{
-		d:       cfg.Disk,
-		base:    cfg.Base,
-		data:    cfg.Sectors - 1,
-		rec:     cfg.Rec,
-		tr:      cfg.Trace,
-		noGroup: cfg.DisableGroupCommit,
-		fh:      cfg.FaultHook,
-		parked:  make(map[uint64]LSN),
+		d:      cfg.Disk,
+		base:   cfg.Base,
+		data:   cfg.Sectors - 1,
+		rec:    cfg.Rec,
+		tr:     cfg.Trace,
+		fh:     cfg.FaultHook,
+		parked: make(map[uint64]LSN),
 	}
 	l.flushCond = sync.NewCond(&l.mu)
 	var sector [disk.SectorSize]byte
@@ -163,17 +151,26 @@ func Open(cfg Config) (*Log, error) {
 func (l *Log) recoverEnd() error {
 	lsn := l.lowLSN
 	l.index = l.index[:0]
+	// Only the frames' validity and lengths matter here, so one buffer
+	// and one record serve the whole scan.
+	var (
+		frame []byte
+		r     Record
+	)
 	for {
-		r, n, err := l.readRecordFromDisk(lsn)
-		if err != nil {
+		var err error
+		if frame, err = l.readFrame(frame, lsn, true); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				return fmt.Errorf("wal: finding log end at LSN %d: %w", lsn, err)
 			}
 			break // end of valid log
 		}
+		n, err := decodeInto(&r, frame, lsn)
+		if err != nil {
+			break // end of valid log
+		}
 		l.index = append(l.index, lsn)
 		lsn += LSN(n)
-		_ = r
 	}
 	l.durableLSN = lsn
 	l.nextLSN = lsn
@@ -197,8 +194,11 @@ func (l *Log) sectorFor(lsn LSN) (disk.Addr, int) {
 	return l.base + 1 + disk.Addr(sec), int(byteOff % disk.SectorSize)
 }
 
-// Capacity returns the byte capacity of the record region.
-func (l *Log) Capacity() int64 { return l.data * disk.SectorSize }
+// Capacity returns the byte capacity of the record region. One sector is
+// held back: a force writes whole sectors, zero past the append point, so
+// the sector under the append point must never be the one that, a lap
+// behind, still holds the low-water record.
+func (l *Log) Capacity() int64 { return (l.data - 1) * disk.SectorSize }
 
 // SpaceUsed returns bytes between the low-water mark and the append point.
 func (l *Log) SpaceUsed() int64 {
@@ -292,10 +292,6 @@ func (l *Log) Append(r *Record) (LSN, error) {
 // primitive charge between them.
 func (l *Log) Force(upTo LSN) error {
 	l.mu.Lock()
-	if l.noGroup {
-		defer l.mu.Unlock()
-		return l.forceLocked(upTo)
-	}
 	if upTo > l.nextLSN {
 		upTo = l.nextLSN
 	}
@@ -371,26 +367,6 @@ func (l *Log) leadFlush() error {
 	return err
 }
 
-// forceLocked is the synchronous (DisableGroupCommit) force path: one disk
-// write per call, performed under the log mutex, exactly as the original
-// TABS implementation charged one Stable Storage Write per committing
-// transaction. Caller holds l.mu.
-func (l *Log) forceLocked(upTo LSN) error {
-	if upTo > l.nextLSN {
-		upTo = l.nextLSN
-	}
-	if upTo <= l.durableLSN {
-		return nil
-	}
-	start, end := l.durableLSN, l.nextLSN
-	if err := l.writeRange(start, end, l.buf); err != nil {
-		return err
-	}
-	l.buf = l.buf[:0] // keep capacity for the next batch of appends
-	l.durableLSN = end
-	return nil
-}
-
 // writeRange writes the log bytes [start, end) — supplied in data — to the
 // sectors that cover them. We force the entire pending region once any of
 // it must go (a page of log data is the force unit, §5.1). One call is one
@@ -398,8 +374,7 @@ func (l *Log) forceLocked(upTo LSN) error {
 // Recovery Manager to force a page of log data to non-volatile storage"
 // (§5.1) — regardless of how many sectors the records straddle or how many
 // committers share the batch. Safe without l.mu: at most one flusher runs
-// at a time (l.flushing, or the mutex itself on the synchronous path), and
-// nothing else writes log data sectors.
+// at a time (l.flushing), and nothing else writes log data sectors.
 func (l *Log) writeRange(start, end LSN, data []byte) error {
 	forceStart := time.Now()
 	sp := l.tr.Begin("wal", "force").Annotatef("bytes=%d", int64(end-start))
@@ -451,95 +426,106 @@ func (l *Log) writeRange(start, end LSN, data []byte) error {
 	return nil
 }
 
-// readBytes returns n bytes starting at lsn, reading from the volatile
-// buffer and/or disk as needed. Caller holds l.mu.
-func (l *Log) readBytes(lsn LSN, n int) ([]byte, error) {
-	if lsn < l.lowLSN || lsn+LSN(n) > l.nextLSN {
-		return nil, fmt.Errorf("%w: [%d,%d) retained [%d,%d)", ErrOutOfRange, lsn, lsn+LSN(n), l.lowLSN, l.nextLSN)
+// readBytes appends to dst the n bytes starting at lsn: what is durable
+// from the disk, the rest from the volatile buffer. Caller holds l.mu.
+func (l *Log) readBytes(dst []byte, lsn LSN, n int) ([]byte, error) {
+	end := lsn + LSN(n)
+	if lsn < l.lowLSN || end > l.nextLSN {
+		return nil, fmt.Errorf("%w: [%d,%d) retained [%d,%d)", ErrOutOfRange, lsn, end, l.lowLSN, l.nextLSN)
 	}
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		off := lsn + LSN(i)
-		if off >= l.durableLSN {
-			// The rest comes from the volatile buffer in one copy.
-			i += copy(out[i:], l.buf[off-l.durableLSN:])
-			continue
+	if durable := min(end, l.durableLSN); lsn < durable {
+		var err error
+		if dst, err = l.readRawDurable(dst, lsn, int(durable-lsn)); err != nil {
+			return nil, err
 		}
-		addr, inSec := l.sectorFor(off)
+		lsn = durable
+	}
+	if lsn < end {
+		dst = append(dst, l.buf[lsn-l.durableLSN:end-l.durableLSN]...)
+	}
+	return dst, nil
+}
+
+// readRawDurable appends to dst n bytes straight off the disk, without
+// range checks against nextLSN (which is unknown during end recovery).
+func (l *Log) readRawDurable(dst []byte, lsn LSN, n int) ([]byte, error) {
+	for end := lsn + LSN(n); lsn < end; {
+		addr, inSec := l.sectorFor(lsn)
 		var page [disk.SectorSize]byte
 		if _, err := l.d.Read(addr, page[:]); err != nil {
 			return nil, err
 		}
 		avail := page[inSec:]
-		// Don't copy past the durable boundary into buffer territory.
-		if off+LSN(len(avail)) > l.durableLSN {
-			avail = avail[:l.durableLSN-off]
+		if lsn+LSN(len(avail)) > end {
+			avail = avail[:end-lsn]
 		}
-		i += copy(out[i:], avail)
+		dst = append(dst, avail...)
+		lsn += LSN(len(avail))
 	}
-	return out, nil
+	return dst, nil
 }
 
-// readRecordFromDisk decodes the record at lsn using only durable bytes;
-// used while recovering the end of the log, when no buffer exists.
-func (l *Log) readRecordFromDisk(lsn LSN) (*Record, int, error) {
-	header, err := l.readRawDurable(lsn, 4)
+// readFrame reads the whole frame of the record at lsn — the 4-byte length
+// and as many bytes as it announces — into buf's backing array, growing it
+// as needed, and returns the frame. raw reads durable bytes only, as end
+// recovery must while no buffer exists; a length no record can have is
+// then what stale sectors past the true end look like. Caller holds l.mu
+// (or, for raw, is still mounting the log).
+func (l *Log) readFrame(buf []byte, lsn LSN, raw bool) ([]byte, error) {
+	read := l.readBytes
+	if raw {
+		read = l.readRawDurable
+	}
+	buf, err := read(buf[:0], lsn, 4)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(header))
-	if n < headerSize || n > MaxBodySize+headerSize+512 {
-		return nil, 0, ErrCorrupt
+	n := int(binary.BigEndian.Uint32(buf))
+	if raw && (n < headerSize || n > MaxBodySize+headerSize+512) {
+		return nil, ErrCorrupt
 	}
-	frame, err := l.readRawDurable(lsn, 4+n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return Decode(frame, lsn)
+	return read(buf[:0], lsn, 4+n)
 }
 
-// readRawDurable reads bytes straight off the disk without range checks
-// against nextLSN (which is unknown during end recovery).
-func (l *Log) readRawDurable(lsn LSN, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		off := lsn + LSN(i)
-		addr, inSec := l.sectorFor(off)
-		var page [disk.SectorSize]byte
-		if _, err := l.d.Read(addr, page[:]); err != nil {
-			return nil, err
-		}
-		i += copy(out[i:], page[inSec:])
-	}
-	return out, nil
-}
-
-// ReadRecord returns the record starting at lsn.
-func (l *Log) ReadRecord(lsn LSN) (*Record, error) {
+// readInto decodes the record at lsn into r over frame, which it returns
+// (possibly regrown) for the next call. r.Body points into frame.
+func (l *Log) readInto(r *Record, frame []byte, lsn LSN) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	header, err := l.readBytes(lsn, 4)
+	frame, err := l.readFrame(frame, lsn, false)
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(header))
-	frame, err := l.readBytes(lsn, 4+n)
-	if err != nil {
+	_, err = decodeInto(r, frame, lsn)
+	return frame, err
+}
+
+// ReadRecord returns the record starting at lsn. The record is the
+// caller's to keep.
+func (l *Log) ReadRecord(lsn LSN) (*Record, error) {
+	r := &Record{}
+	if _, err := l.readInto(r, nil, lsn); err != nil {
 		return nil, err
 	}
-	r, _, err := Decode(frame, lsn)
-	return r, err
+	return r, nil
 }
 
 // ScanForward calls fn for every retained record with from ≤ LSN, in LSN
-// order, stopping early if fn returns false. Records reclaimed between the
-// index snapshot and the per-record read are skipped rather than surfaced
-// as ErrOutOfRange: a record below the advanced low-water mark was, by the
-// reclamation invariant, needed by no retained transaction.
+// order, stopping early if fn returns false. The record, Body included, is
+// fn's only until it returns: the scan decodes every record over the one
+// before (a restart reads the whole log tail two or three times over).
+// Records reclaimed between the index snapshot and the per-record read are
+// skipped rather than surfaced as ErrOutOfRange: a record below the
+// advanced low-water mark was, by the reclamation invariant, needed by no
+// retained transaction.
 func (l *Log) ScanForward(from LSN, fn func(*Record) (bool, error)) error {
+	var (
+		frame []byte
+		r     = &Record{}
+	)
 	for _, lsn := range l.indexFrom(from) {
-		r, err := l.ReadRecord(lsn)
-		if err != nil {
+		var err error
+		if frame, err = l.readInto(r, frame, lsn); err != nil {
 			if l.reclaimedSince(lsn, err) {
 				continue
 			}
@@ -559,12 +545,17 @@ func (l *Log) ScanForward(from LSN, fn func(*Record) (bool, error)) error {
 // ScanBackward calls fn for every retained record with LSN ≤ from, in
 // reverse LSN order, stopping early if fn returns false. Value-logging
 // crash recovery is a single backward pass (§2.1.3). Concurrently
-// reclaimed records are skipped, as in ScanForward.
+// reclaimed records are skipped, and the record is fn's only until it
+// returns, as in ScanForward.
 func (l *Log) ScanBackward(from LSN, fn func(*Record) (bool, error)) error {
+	var (
+		frame []byte
+		r     = &Record{}
+	)
 	idx := l.indexUpTo(from)
 	for i := len(idx) - 1; i >= 0; i-- {
-		r, err := l.ReadRecord(idx[i])
-		if err != nil {
+		var err error
+		if frame, err = l.readInto(r, frame, idx[i]); err != nil {
 			if l.reclaimedSince(idx[i], err) {
 				continue
 			}

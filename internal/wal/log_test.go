@@ -290,6 +290,37 @@ func TestWrapAroundAfterReclaim(t *testing.T) {
 	}
 }
 
+// TestWrapKeepsLowWaterSector fills a tiny circular log to the brim over
+// and over, reclaiming one record at a time, and re-reads every retained
+// record after each force. When the log is nearly full the append point
+// and the low-water mark share one physical sector: forcing the new tail
+// must not zero the retained record behind it.
+func TestWrapKeepsLowWaterSector(t *testing.T) {
+	lg, _, _ := testLog(t, 8)
+	body := make([]byte, 300)
+	var retained []LSN
+	for i := 1; i <= 200; i++ {
+		lsn, err := lg.AppendAndForce(&Record{TID: tid(uint64(i)), Type: RecCommit, Body: body})
+		if errors.Is(err, ErrLogFull) {
+			retained = retained[1:]
+			if err := lg.Reclaim(retained[0]); err != nil {
+				t.Fatal(err)
+			}
+			i--
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained = append(retained, lsn)
+		for _, at := range retained {
+			if _, err := lg.ReadRecord(at); err != nil {
+				t.Fatalf("after forcing record %d at %d: retained record at %d unreadable: %v (low %d)", i, lsn, at, err, lg.LowLSN())
+			}
+		}
+	}
+}
+
 func TestCheckpointAnchorPersists(t *testing.T) {
 	lg, d, _ := testLog(t, 64)
 	lsn, err := lg.AppendAndForce(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{})})

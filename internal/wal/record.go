@@ -156,64 +156,91 @@ func Encode(r *Record) ([]byte, error) {
 // Decode parses one framed record from b, returning the record and the
 // number of bytes consumed. It validates the checksum and, if expectLSN is
 // nonzero, that the embedded LSN matches — which rejects stale data left
-// from a previous cycle of the circular log.
+// from a previous cycle of the circular log. The record shares nothing
+// with b.
 func Decode(b []byte, expectLSN LSN) (*Record, int, error) {
+	r := &Record{}
+	n, err := decodeInto(r, b, expectLSN)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.Body = append([]byte(nil), r.Body...)
+	return r, n, nil
+}
+
+// decodeInto is Decode over a record the caller supplies, copying nothing:
+// r.Body points into b, and a name r already holds is kept rather than
+// allocated again, so a scan that decodes every record into the same
+// Record allocates only when a name changes. On error r is left half
+// overwritten.
+func decodeInto(r *Record, b []byte, expectLSN LSN) (int, error) {
 	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("%w: short frame", ErrCorrupt)
+		return 0, fmt.Errorf("%w: short frame", ErrCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(b))
 	if n < headerSize || n > MaxBodySize+headerSize+512 || len(b) < 4+n {
-		return nil, 0, fmt.Errorf("%w: bad frame length %d", ErrCorrupt, n)
+		return 0, fmt.Errorf("%w: bad frame length %d", ErrCorrupt, n)
 	}
 	payload := b[4 : 4+n]
 	body, crcBytes := payload[:n-4], payload[n-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	r := &Record{}
 	r.LSN = LSN(binary.BigEndian.Uint64(body[0:8]))
 	r.PrevLSN = LSN(binary.BigEndian.Uint64(body[8:16]))
 	r.TID.Seq = binary.BigEndian.Uint64(body[16:24])
 	r.TID.RootSeq = binary.BigEndian.Uint64(body[24:32])
 	r.Type = RecordType(body[32])
-	rest := body[33:]
-	node, rest, err := takeString(rest)
+	rest, err := takeName(&r.TID.Node, body[33:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	rootNode, rest, err := takeString(rest)
-	if err != nil {
-		return nil, 0, err
+	if rest, err = takeName(&r.TID.RootNode, rest); err != nil {
+		return 0, err
 	}
-	server, rest, err := takeString(rest)
-	if err != nil {
-		return nil, 0, err
+	if rest, err = takeName(&r.Server, rest); err != nil {
+		return 0, err
 	}
-	// Mirror Encode's limits so every record that decodes also re-encodes.
-	if len(node) > 255 || len(rootNode) > 255 || len(server) > 255 {
-		return nil, 0, fmt.Errorf("%w: name too long", ErrCorrupt)
-	}
-	r.TID.Node = types.NodeID(node)
-	r.TID.RootNode = types.NodeID(rootNode)
-	r.Server = types.ServerID(server)
 	if len(rest) < 4 {
-		return nil, 0, fmt.Errorf("%w: truncated body length", ErrCorrupt)
+		return 0, fmt.Errorf("%w: truncated body length", ErrCorrupt)
 	}
 	bl := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if bl > MaxBodySize {
-		return nil, 0, fmt.Errorf("%w: body %d bytes", ErrCorrupt, bl)
+		return 0, fmt.Errorf("%w: body %d bytes", ErrCorrupt, bl)
 	}
 	if len(rest) != bl {
-		return nil, 0, fmt.Errorf("%w: body length %d, have %d", ErrCorrupt, bl, len(rest))
+		return 0, fmt.Errorf("%w: body length %d, have %d", ErrCorrupt, bl, len(rest))
 	}
+	r.Body = nil
 	if bl > 0 {
-		r.Body = append([]byte(nil), rest...)
+		r.Body = rest
 	}
 	if expectLSN != 0 && r.LSN != expectLSN {
-		return nil, 0, fmt.Errorf("%w: LSN %d where %d expected (stale log area)", ErrCorrupt, r.LSN, expectLSN)
+		return 0, fmt.Errorf("%w: LSN %d where %d expected (stale log area)", ErrCorrupt, r.LSN, expectLSN)
 	}
-	return r, 4 + n, nil
+	return 4 + n, nil
+}
+
+// takeName reads a length-prefixed name of at most 255 bytes — Encode's
+// limit, so every record that decodes also re-encodes — into *dst, leaving
+// the string already there in place when it spells the same name.
+func takeName[S ~string](dst *S, b []byte) ([]byte, error) {
+	if len(b) < 2 {
+		return nil, fmt.Errorf("%w: truncated string", ErrCorrupt)
+	}
+	n := int(binary.BigEndian.Uint16(b))
+	b = b[2:]
+	if len(b) < n {
+		return nil, fmt.Errorf("%w: truncated string body", ErrCorrupt)
+	}
+	if n > 255 {
+		return nil, fmt.Errorf("%w: name too long", ErrCorrupt)
+	}
+	if string(*dst) != string(b[:n]) {
+		*dst = S(b[:n])
+	}
+	return b[n:], nil
 }
 
 func takeString(b []byte) (string, []byte, error) {
