@@ -64,9 +64,12 @@ bench-smoke:
 	$(GO) test ./internal/bench -run TestMigrationSmoke -count=1 -timeout 120s
 	$(GO) run ./tools/allocgate -budget ALLOC_BUDGET.txt -bench 'AppendForce|EnvelopeEncode|LookUpCached' ./internal/wal ./internal/comm ./internal/nameserver
 
-# Short fuzz of the WAL record codec; CI runs the same invocation.
+# Short fuzz of the codecs that parse bytes off the disk or the wire: the
+# WAL record codec and the acp message and acceptor-state codecs. CI runs
+# the same invocation.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecordRoundTrip -fuzztime 10s
+	$(GO) test ./internal/acp -run '^$$' -fuzz FuzzACPCodec -fuzztime 10s
 
 # Fixed-seed fault-injection torture runs (3 nodes, crashes + partitions +
 # disk faults) under both commit protocols, plus the coordinator-kill

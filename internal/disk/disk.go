@@ -277,9 +277,8 @@ func (d *Disk) Write(addr Addr, buf []byte, header uint64) error {
 	return nil
 }
 
-// Snapshot returns a deep copy of the disk contents (for archival-dump
-// tests; the paper notes systems infrequently dump non-volatile storage to
-// an off-line archive, §2.1.3).
+// Snapshot returns a deep copy of the disk contents (the image Save
+// persists, and tests that copy a disk).
 func (d *Disk) Snapshot() []Sector {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -15,7 +15,6 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -90,9 +89,13 @@ var (
 	ErrNotCrashed    = errors.New("recovery: restart on a live manager")
 )
 
+// transState is one live transaction's log chain. firstLSN is stamped
+// when the entry is created, before its first record is appended, so it
+// bounds every record the transaction has or will have: a checkpoint or
+// reclamation that runs while that append is in flight still keeps it.
 type transState struct {
 	firstLSN wal.LSN
-	lastLSN  wal.LSN
+	lastLSN  wal.LSN // NilLSN until the first record lands
 	status   types.Status
 }
 
@@ -118,9 +121,10 @@ type Manager struct {
 
 	checkpointEvery int // transactions between automatic checkpoints
 	commitsSinceCkp int
-	// pinnedLow, when nonzero, bounds reclamation so the log stays
-	// replayable over an archive taken at that LSN (media recovery).
-	pinnedLow wal.LSN
+	// ckptMu serializes checkpoints, so anchors advance in the order their
+	// redo LSNs were taken and a reclamation to one checkpoint's redo LSN
+	// never passes the redo LSN of the anchor restart will read.
+	ckptMu sync.Mutex
 	// acp, when set, has its acceptor state checkpointed and restored.
 	acp ACPSource
 	// reclaiming is held by the one finishing transaction that found the
@@ -221,7 +225,7 @@ func (m *Manager) append(r *wal.Record) (wal.LSN, error) {
 	m.mu.Lock()
 	ts := m.trans[r.TID]
 	if ts == nil {
-		ts = &transState{status: types.StatusActive}
+		ts = &transState{firstLSN: m.log.NextLSN(), status: types.StatusActive}
 		m.trans[r.TID] = ts
 	}
 	r.PrevLSN = ts.lastLSN
@@ -239,9 +243,6 @@ func (m *Manager) append(r *wal.Record) (wal.LSN, error) {
 		return 0, err
 	}
 	m.mu.Lock()
-	if ts.firstLSN == wal.NilLSN {
-		ts.firstLSN = lsn
-	}
 	ts.lastLSN = lsn
 	m.mu.Unlock()
 	return lsn, nil
@@ -420,7 +421,7 @@ func (m *Manager) HasLogged(tid types.TransID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ts := m.trans[tid]
-	return ts != nil && ts.firstLSN != wal.NilLSN
+	return ts != nil && ts.lastLSN != wal.NilLSN
 }
 
 // finish records the terminal status and forgets the transaction's chain,
@@ -473,7 +474,7 @@ func (m *Manager) Abort(tid types.TransID) error {
 	}
 	m.mu.Unlock()
 
-	if err := m.undoChain(tid, last, nil); err != nil {
+	if _, _, err := m.undoChain(tid, last, nil); err != nil {
 		return err
 	}
 	if _, err := m.append(&wal.Record{TID: tid, Type: wal.RecAbort}); err != nil {
@@ -484,16 +485,17 @@ func (m *Manager) Abort(tid types.TransID) error {
 }
 
 // undoChain walks tid's backward chain from last, undoing every
-// un-compensated update/operation record and logging a CLR for each.
-// preCompensated seeds the compensated-LSN set (restart passes CLRs it saw
-// during analysis).
-func (m *Manager) undoChain(tid types.TransID, last wal.LSN, preCompensated map[wal.LSN]bool) error {
+// un-compensated update/operation record and logging a CLR for each. It
+// returns the records visited and the undos applied. preCompensated seeds
+// the compensated-LSN set (restart passes CLRs it saw during analysis).
+func (m *Manager) undoChain(tid types.TransID, last wal.LSN, preCompensated map[wal.LSN]bool) (scanned, undone int, err error) {
 	compensated := make(map[wal.LSN]bool, len(preCompensated))
 	for l := range preCompensated {
 		compensated[l] = true
 	}
 	var toUndo []*wal.Record
-	err := m.log.TransBackChain(last, func(r *wal.Record) (bool, error) {
+	err = m.log.TransBackChain(last, func(r *wal.Record) (bool, error) {
+		scanned++
 		switch r.Type {
 		case wal.RecUpdateCLR, wal.RecOperationCLR:
 			clr, err := wal.DecodeCLR(r.Body)
@@ -509,14 +511,15 @@ func (m *Manager) undoChain(tid types.TransID, last wal.LSN, preCompensated map[
 		return true, nil
 	})
 	if err != nil {
-		return err
+		return scanned, 0, err
 	}
 	for _, r := range toUndo {
 		if err := m.undoRecord(r); err != nil {
-			return err
+			return scanned, undone, err
 		}
+		undone++
 	}
-	return nil
+	return scanned, undone, nil
 }
 
 // undoRecord dispatches one undo to the owning server and logs the
@@ -586,90 +589,85 @@ func (m *Manager) undoRecord(r *wal.Record) error {
 	return nil
 }
 
-// ActiveTransactions returns a snapshot of transactions with unresolved
-// log chains (used by checkpoints and by the Transaction Manager during
-// restart).
-func (m *Manager) ActiveTransactions() []wal.ActiveTrans {
+// redoLSN is where restart must begin reading the log if it crashed now:
+// the oldest of every dirty page's recovery LSN, every live transaction's
+// first record and the end of the log. Every record of every entry in
+// m.trans lies at or after it.
+func (m *Manager) redoLSN() wal.LSN {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]wal.ActiveTrans, 0, len(m.trans))
-	for tid, ts := range m.trans {
-		out = append(out, wal.ActiveTrans{TID: tid, Status: ts.status, FirstLSN: ts.firstLSN, LastLSN: ts.lastLSN})
+	low := m.log.NextLSN()
+	for _, ts := range m.trans {
+		low = min(low, ts.firstLSN)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FirstLSN < out[j].FirstLSN })
-	return out
+	for _, rec := range m.dirty {
+		low = min(low, rec)
+	}
+	return low
 }
 
-// Checkpoint writes a checkpoint record listing the dirty pages and active
-// transactions, forces it, and updates the log anchor (§2.1.3, §3.2.2).
+// Checkpoint writes a checkpoint record holding the redo LSN and the
+// acceptor state, forces it, and updates the log anchor (§2.1.3, §3.2.2).
+// Restart rebuilds everything else from the log after the redo LSN.
 func (m *Manager) Checkpoint() error {
+	_, err := m.checkpoint()
+	return err
+}
+
+// checkpoint is Checkpoint, returning the redo LSN it recorded.
+func (m *Manager) checkpoint() (wal.LSN, error) {
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	// The redo LSN is taken before the acceptor snapshot: acp updates its
+	// table before logging, so a RecACP record below the redo LSN is in
+	// the snapshot and one missing from it lies after the redo LSN.
+	body := &wal.CheckpointBody{RedoLSN: m.redoLSN()}
 	m.mu.Lock()
-	body := &wal.CheckpointBody{}
-	for p, rec := range m.dirty {
-		body.DirtyPages = append(body.DirtyPages, wal.DirtyPage{Page: p, RecLSN: rec})
-	}
-	sort.Slice(body.DirtyPages, func(i, j int) bool {
-		a, b := body.DirtyPages[i], body.DirtyPages[j]
-		if a.Page.Segment != b.Page.Segment {
-			return a.Page.Segment < b.Page.Segment
-		}
-		return a.Page.Page < b.Page.Page
-	})
-	for tid, ts := range m.trans {
-		body.Active = append(body.Active, wal.ActiveTrans{TID: tid, Status: ts.status, FirstLSN: ts.firstLSN, LastLSN: ts.lastLSN})
-	}
-	sort.Slice(body.Active, func(i, j int) bool { return body.Active[i].FirstLSN < body.Active[j].FirstLSN })
 	acpSrc := m.acp
 	m.mu.Unlock()
 
-	// Capture commit-protocol acceptor state. The blob shares the record's
-	// body budget with the dirty-page and transaction tables; entries that
-	// do not fit are re-logged as RecACP records right after the checkpoint
+	// Capture commit-protocol acceptor state. Entries that do not fit the
+	// blob are re-logged as RecACP records right after the checkpoint
 	// record — still ahead of the anchor the next restart scans from, so
 	// reclamation can never strand them. The snapshot is taken outside
 	// m.mu: acp state has its own lock and recovery.Manager.mu must not
 	// nest over it.
 	var overflow [][]byte
 	if acpSrc != nil {
-		limit := wal.MaxBodySize - len(wal.EncodeCheckpoint(body)) - 8
-		if limit < 0 {
-			limit = 0
-		}
-		body.ACP, overflow = acpSrc.CheckpointState(limit)
+		body.ACP, overflow = acpSrc.CheckpointState(wal.MaxCheckpointACP)
 	}
 
 	sp := m.tr.Begin("recovery", "checkpoint").
-		Annotatef("dirty_pages=%d", len(body.DirtyPages)).
-		Annotatef("active_trans=%d", len(body.Active)).
+		Annotatef("redo_lsn=%d", body.RedoLSN).
 		Annotatef("acp_overflow=%d", len(overflow))
 	r := &wal.Record{Type: wal.RecCheckpoint, Body: wal.EncodeCheckpoint(body)}
 	lsn, err := m.log.Append(r)
 	if err != nil {
 		sp.EndErr(err)
-		return err
+		return 0, err
 	}
 	for _, b := range overflow {
 		if _, err := m.log.Append(&wal.Record{Type: wal.RecACP, Body: b}); err != nil {
 			sp.EndErr(err)
-			return err
+			return 0, err
 		}
 	}
+	//tabslint:ignore lockhold checkpoints are serialized so anchors advance in redo order; only another checkpoint waits here, and it would force anyway
 	if err := m.log.Force(m.log.NextLSN()); err != nil {
 		sp.EndErr(err)
-		return err
+		return 0, err
 	}
 	err = m.log.SetCheckpoint(lsn)
 	sp.Annotatef("lsn=%d", lsn).EndErr(err)
 	m.tr.Count("recovery.checkpoint.count", 1)
-	return err
+	return body.RedoLSN, err
 }
 
-// Reclaim frees log space: it forces back the dirty pages whose recovery
-// LSNs pin the oldest log records, takes a fresh checkpoint, and advances
-// the log's low-water mark to the oldest LSN still needed — the minimum of
-// the active transactions' first records and the remaining dirty pages'
-// recovery LSNs (§3.2.2: "log reclamation may force pages back to disk
-// before they would otherwise be written").
+// Reclaim frees log space: it forces back every dirty page, takes a fresh
+// checkpoint, and advances the log's low-water mark to that checkpoint's
+// redo LSN — with the pages clean, the oldest live transaction's first
+// record (§3.2.2: "log reclamation may force pages back to disk before
+// they would otherwise be written").
 func (m *Manager) Reclaim() error {
 	sp := m.tr.Begin("recovery", "reclaim")
 	// Flush every dirty page; this empties the dirty-page table via the
@@ -678,36 +676,13 @@ func (m *Manager) Reclaim() error {
 		sp.EndErr(err)
 		return err
 	}
-	if err := m.Checkpoint(); err != nil {
+	low, err := m.checkpoint()
+	if err != nil {
 		sp.EndErr(err)
 		return err
 	}
-	m.mu.Lock()
-	low := m.log.CheckpointLSN()
-	for _, ts := range m.trans {
-		if ts.firstLSN != wal.NilLSN && ts.firstLSN < low {
-			low = ts.firstLSN
-		}
-	}
-	for _, rec := range m.dirty {
-		if rec < low {
-			low = rec
-		}
-	}
-	if m.pinnedLow != wal.NilLSN && m.pinnedLow < low {
-		// An archive depends on replaying from pinnedLow; keep the log.
-		low = m.pinnedLow
-	}
-	m.mu.Unlock()
-	err := m.log.Reclaim(low)
+	err = m.log.Reclaim(low)
 	sp.Annotatef("new_low=%d", low).EndErr(err)
 	m.tr.Count("recovery.reclaim.count", 1)
 	return err
-}
-
-// DirtyPageCount returns the size of the dirty-page table.
-func (m *Manager) DirtyPageCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.dirty)
 }

@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,11 +48,19 @@ func newRig(t *testing.T, d *disk.Disk) *rig {
 	if d == nil {
 		d = disk.New(disk.DefaultGeometry(512))
 	}
-	k := kernel.New(kernel.Config{Disk: d, PoolPages: 32})
-	if err := k.AddSegment(1, 128, 16); err != nil {
+	return newRigSized(t, d, 32, 64, 16)
+}
+
+// newRigSized is newRig over d with the given buffer pool, a log of
+// logSectors at the start of the disk and segment 1 of segPages right
+// after a gap.
+func newRigSized(t *testing.T, d *disk.Disk, poolPages int, logSectors int64, segPages uint32) *rig {
+	t.Helper()
+	k := kernel.New(kernel.Config{Disk: d, PoolPages: poolPages})
+	if err := k.AddSegment(1, disk.Addr(2*logSectors), segPages); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := wal.Open(wal.Config{Disk: d, Base: 0, Sectors: 64})
+	lg, err := wal.Open(wal.Config{Disk: d, Base: 0, Sectors: logSectors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +89,25 @@ func (r *rig) write(t *testing.T, id types.TransID, val string) {
 	if _, err := r.rm.LogUpdate(id, "srv", &wal.UpdateBody{Object: obj, Old: old, New: []byte(val)}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// live returns the status of every transaction in the Recovery
+// Manager's table.
+func (r *rig) live() map[types.TransID]types.Status {
+	r.rm.mu.Lock()
+	defer r.rm.mu.Unlock()
+	out := make(map[types.TransID]types.Status, len(r.rm.trans))
+	for id, ts := range r.rm.trans {
+		out[id] = ts.status
+	}
+	return out
+}
+
+// dirtyPages returns the size of the dirty-page table.
+func (r *rig) dirtyPages() int {
+	r.rm.mu.Lock()
+	defer r.rm.mu.Unlock()
+	return len(r.rm.dirty)
 }
 
 func (r *rig) read(t *testing.T) string {
@@ -287,7 +315,7 @@ func TestReclaimAdvancesLowWaterMark(t *testing.T) {
 		t.Errorf("reclaim did not advance the low-water mark: %d -> %d", lowBefore, r.lg.LowLSN())
 	}
 	// Dirty pages must be gone (forced during reclamation).
-	if n := r.rm.DirtyPageCount(); n != 0 {
+	if n := r.dirtyPages(); n != 0 {
 		t.Errorf("%d dirty pages after reclamation", n)
 	}
 }
@@ -432,6 +460,62 @@ func TestValueRecoveryOverlappingObjects(t *testing.T) {
 	}
 	if !bytes.Equal(rest, []byte{0xAA, 0xAA, 0xAA, 0xAA}) {
 		t.Errorf("bytes outside the cell = %x, want the page image", rest)
+	}
+}
+
+// stallingACP is an acceptor-state source whose first snapshot blocks
+// until released, holding its checkpoint between taking the redo LSN and
+// appending the record.
+type stallingACP struct {
+	called           atomic.Bool
+	stalled, release chan struct{}
+}
+
+func (s *stallingACP) CheckpointState(int) ([]byte, [][]byte) {
+	if s.called.CompareAndSwap(false, true) {
+		close(s.stalled)
+		<-s.release
+	}
+	return nil, nil
+}
+
+func (s *stallingACP) RestoreState([]byte)  {}
+func (s *stallingACP) RestoreRecord([]byte) {}
+
+// TestCheckpointsAnchorInRedoOrder: a reclamation frees the log up to the
+// redo LSN of its own checkpoint, so a checkpoint that took an older redo
+// LSN must not anchor after it. Here the older checkpoint stalls while its
+// transaction commits and a reclamation starts; checkpoints are
+// serialized, so the reclamation waits, and restart still finds the
+// anchor's redo LSN in the retained log.
+func TestCheckpointsAnchorInRedoOrder(t *testing.T) {
+	r := newRig(t, nil)
+	acp := &stallingACP{stalled: make(chan struct{}), release: make(chan struct{})}
+	r.rm.SetACPSource(acp)
+	r.write(t, tid(1), "aaaa")
+	older := make(chan error, 1)
+	go func() { older <- r.rm.Checkpoint() }()
+	<-acp.stalled // its redo LSN is tid(1)'s first record
+	if err := r.rm.LogCommit(tid(1)); err != nil {
+		t.Fatal(err)
+	}
+	reclaimed := make(chan error, 1)
+	go func() { reclaimed <- r.rm.Reclaim() }()
+	select {
+	case err := <-reclaimed: // unserialized: reclaimed past the stalled redo LSN
+		reclaimed <- err
+	case <-time.After(50 * time.Millisecond): // waiting behind the stalled checkpoint
+	}
+	close(acp.release)
+	for _, done := range []chan error{older, reclaimed} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.k.Crash()
+	r.rm.Crash()
+	if _, err := newRig(t, r.d).rm.Restart(nil); err != nil {
+		t.Fatalf("restart: %v", err)
 	}
 }
 

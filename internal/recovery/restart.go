@@ -28,39 +28,46 @@ type RestartReport struct {
 	InDoubt []types.TransID
 }
 
+// txnInfo is what the analysis pass learns about one transaction.
+type txnInfo struct {
+	status   types.Status
+	firstLSN wal.LSN
+	lastLSN  wal.LSN
+	prepare  *wal.PrepareBody
+}
+
 // analysis is the outcome of the analysis pass.
 type analysis struct {
-	status      map[types.TransID]types.Status
-	lastLSN     map[types.TransID]wal.LSN
-	prepares    map[types.TransID]*wal.PrepareBody
+	trans       map[types.TransID]*txnInfo
 	compensated map[wal.LSN]bool
 	redoStart   wal.LSN
 	hasOps      bool
 	scanned     int
 }
 
+// status is tid's status as analysis left it; StatusUnknown for a
+// transaction that is not live and did not commit.
+func (a *analysis) status(tid types.TransID) types.Status {
+	if t := a.trans[tid]; t != nil {
+		return t.status
+	}
+	return types.StatusUnknown
+}
+
 // Restart performs crash recovery: it scans the log from the last
-// checkpoint, determines the fate of every transaction (querying the
-// Transaction Manager / coordinator for in-doubt prepared transactions),
-// redoes the effects of winners, and undoes the effects of losers, leaving
-// recoverable segments reflecting "only the operations of committed and
-// prepared transactions" (§3.2.2).
+// checkpoint's redo LSN, determines the fate of every transaction
+// (querying the Transaction Manager / coordinator for in-doubt prepared
+// transactions), redoes the effects of winners, and undoes the effects of
+// losers, leaving recoverable segments reflecting "only the operations of
+// committed and prepared transactions" (§3.2.2).
 //
 // When the scanned log contains only value-logging records, Restart uses
 // the paper's single backward pass; otherwise the general three-pass
 // algorithm runs.
 func (m *Manager) Restart(src TransStatusSource) (*RestartReport, error) {
-	return m.restartFrom(src, wal.NilLSN)
-}
-
-// restartFrom is Restart with an optional redo floor: when floor is
-// nonzero the redo scan starts no later than it. Media recovery uses this
-// to replay the log over a restored archive in the same single pass
-// structure as crash recovery.
-func (m *Manager) restartFrom(src TransStatusSource, floor wal.LSN) (*RestartReport, error) {
 	restart := m.tr.Begin("recovery", "restart")
 	asp := m.tr.Begin("recovery", "restart.analyze")
-	a, err := m.analyze(src, floor)
+	a, err := m.analyze(src)
 	if err != nil {
 		asp.EndErr(err)
 		restart.EndErr(err)
@@ -69,21 +76,21 @@ func (m *Manager) restartFrom(src TransStatusSource, floor wal.LSN) (*RestartRep
 	asp.Annotatef("scanned=%d", a.scanned).Annotatef("redo_start=%d", a.redoStart).End()
 	// Resolve in-doubt prepared transactions before applying effects.
 	report := &RestartReport{RecordsScanned: a.scanned}
-	for tid, st := range a.status {
-		if st != types.StatusPrepared {
+	for tid, t := range a.trans {
+		if t.status != types.StatusPrepared {
 			continue
 		}
 		report.InDoubt = append(report.InDoubt, tid)
 		resolved := types.StatusPrepared
 		if src != nil {
-			resolved = src.ResolveStatus(tid, a.prepares[tid])
+			resolved = src.ResolveStatus(tid, t.prepare)
 		}
 		switch resolved {
 		case types.StatusCommitted:
-			a.status[tid] = types.StatusCommitted
+			t.status = types.StatusCommitted
 		case types.StatusAborted:
 			// Treat as loser: the undo pass reverses it.
-			a.status[tid] = types.StatusActive
+			t.status = types.StatusActive
 		default:
 			// Still in doubt: effects persist (redo as winner), and the
 			// transaction stays prepared awaiting the coordinator.
@@ -118,9 +125,11 @@ func (m *Manager) restartFrom(src TransStatusSource, floor wal.LSN) (*RestartRep
 	}
 
 	// Write abort records for losers and rebuild the live-transaction
-	// table: only still-prepared transactions survive restart.
-	for tid, st := range a.status {
-		switch st {
+	// table: only still-prepared transactions survive restart, each with
+	// the first LSN analysis found, so checkpoints and reclamation keep
+	// its records until the coordinator's answer arrives.
+	for tid, t := range a.trans {
+		switch t.status {
 		case types.StatusActive:
 			if _, err := m.append(&wal.Record{TID: tid, Type: wal.RecAbort}); err != nil {
 				restart.EndErr(err)
@@ -137,10 +146,10 @@ func (m *Manager) restartFrom(src TransStatusSource, floor wal.LSN) (*RestartRep
 			m.mu.Unlock()
 		case types.StatusPrepared:
 			m.mu.Lock()
-			m.trans[tid] = &transState{status: types.StatusPrepared, lastLSN: a.lastLSN[tid]}
+			m.trans[tid] = &transState{status: types.StatusPrepared, firstLSN: t.firstLSN, lastLSN: t.lastLSN}
 			m.mu.Unlock()
 			if pr, ok := src.(PreparedRestorer); ok {
-				pr.RestorePrepared(tid, a.prepares[tid])
+				pr.RestorePrepared(tid, t.prepare)
 			}
 		}
 	}
@@ -161,28 +170,16 @@ func (m *Manager) restartFrom(src TransStatusSource, floor wal.LSN) (*RestartRep
 	return report, nil
 }
 
-// analyze scans forward from the last checkpoint, rebuilding transaction
-// statuses and finding the redo start point. Transaction-management
-// records are passed back to the Transaction Manager (§3.2.2).
-func (m *Manager) analyze(src TransStatusSource, floor wal.LSN) (*analysis, error) {
+// analyze scans forward from the last checkpoint's redo LSN, rebuilding
+// the transaction table from the log alone: every record of every
+// transaction live at the checkpoint lies after that LSN. Transaction-
+// management records are passed back to the Transaction Manager (§3.2.2).
+func (m *Manager) analyze(src TransStatusSource) (*analysis, error) {
 	a := &analysis{
-		status:      make(map[types.TransID]types.Status),
-		lastLSN:     make(map[types.TransID]wal.LSN),
-		prepares:    make(map[types.TransID]*wal.PrepareBody),
+		trans:       make(map[types.TransID]*txnInfo),
 		compensated: make(map[wal.LSN]bool),
+		redoStart:   m.log.LowLSN(),
 	}
-	start := m.log.CheckpointLSN()
-	if start == wal.NilLSN {
-		start = m.log.LowLSN()
-	}
-	if floor != wal.NilLSN && floor < start {
-		start = floor
-	}
-	a.redoStart = start
-
-	// Seed from the checkpoint record, if any: its dirty pages may need
-	// redo from before the checkpoint, and its active transactions may
-	// need undo.
 	m.mu.Lock()
 	acpSrc := m.acp
 	m.mu.Unlock()
@@ -195,21 +192,14 @@ func (m *Manager) analyze(src TransStatusSource, floor wal.LSN) (*analysis, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, d := range body.DirtyPages {
-			if d.RecLSN < a.redoStart {
-				a.redoStart = d.RecLSN
-			}
+		if body.RedoLSN < a.redoStart || body.RedoLSN > ckpt {
+			return nil, fmt.Errorf("%w: checkpoint at %d names redo LSN %d outside [%d, %d]",
+				wal.ErrCorrupt, ckpt, body.RedoLSN, a.redoStart, ckpt)
 		}
-		for _, t := range body.Active {
-			a.status[t.TID] = t.Status
-			a.lastLSN[t.TID] = t.LastLSN
-			if t.FirstLSN != wal.NilLSN && t.FirstLSN < a.redoStart {
-				a.redoStart = t.FirstLSN
-			}
-		}
+		a.redoStart = body.RedoLSN
 		if acpSrc != nil && len(body.ACP) > 0 {
-			// Acceptor state from the checkpoint. The scan below may start
-			// before the checkpoint and replay older RecACP records after
+			// Acceptor state from the checkpoint. The scan below starts
+			// before the checkpoint and may replay older RecACP records after
 			// this; the acp merge is order-insensitive, so that is fine.
 			acpSrc.RestoreState(body.ACP)
 		}
@@ -218,49 +208,48 @@ func (m *Manager) analyze(src TransStatusSource, floor wal.LSN) (*analysis, erro
 	err := m.log.ScanForward(a.redoStart, func(r *wal.Record) (bool, error) {
 		a.scanned++
 		switch r.Type {
-		case wal.RecUpdate:
-			a.status[r.TID] = types.StatusActive
-			a.lastLSN[r.TID] = r.LSN
-		case wal.RecOperation:
-			a.status[r.TID] = types.StatusActive
-			a.lastLSN[r.TID] = r.LSN
-			a.hasOps = true
+		case wal.RecCheckpoint:
+			return true, nil
+		case wal.RecACP:
+			// Commit-protocol acceptor state: replayed to the acp layer,
+			// never into the transaction table (the record carries no TID).
+			if acpSrc != nil {
+				acpSrc.RestoreRecord(r.Body)
+			}
+			return true, nil
+		}
+		t := a.trans[r.TID]
+		if t == nil {
+			t = &txnInfo{firstLSN: r.LSN}
+			a.trans[r.TID] = t
+		}
+		switch r.Type {
+		case wal.RecUpdate, wal.RecOperation:
+			t.status, t.lastLSN = types.StatusActive, r.LSN
+			a.hasOps = a.hasOps || r.Type == wal.RecOperation
 		case wal.RecUpdateCLR, wal.RecOperationCLR:
 			clr, err := wal.DecodeCLR(r.Body)
 			if err != nil {
 				return false, err
 			}
 			a.compensated[clr.CompLSN] = true
-			a.lastLSN[r.TID] = r.LSN
-			if r.Type == wal.RecOperationCLR {
-				a.hasOps = true
+			t.lastLSN = r.LSN
+			a.hasOps = a.hasOps || r.Type == wal.RecOperationCLR
+		case wal.RecCommit, wal.RecAbort, wal.RecPrepare:
+			switch r.Type {
+			case wal.RecCommit:
+				t.status = types.StatusCommitted
+			case wal.RecAbort:
+				t.status = types.StatusAborted
+			default:
+				body, err := wal.DecodePrepare(r.Body)
+				if err != nil {
+					return false, err
+				}
+				t.status, t.lastLSN, t.prepare = types.StatusPrepared, r.LSN, body
 			}
-		case wal.RecCommit:
-			a.status[r.TID] = types.StatusCommitted
 			if src != nil {
 				src.RestoreTransRecord(r)
-			}
-		case wal.RecAbort:
-			a.status[r.TID] = types.StatusAborted
-			if src != nil {
-				src.RestoreTransRecord(r)
-			}
-		case wal.RecPrepare:
-			a.status[r.TID] = types.StatusPrepared
-			a.lastLSN[r.TID] = r.LSN
-			body, err := wal.DecodePrepare(r.Body)
-			if err != nil {
-				return false, err
-			}
-			a.prepares[r.TID] = body
-			if src != nil {
-				src.RestoreTransRecord(r)
-			}
-		case wal.RecACP:
-			// Commit-protocol acceptor state: replayed to the acp layer,
-			// never into the transaction tables (the record carries no TID).
-			if acpSrc != nil {
-				acpSrc.RestoreRecord(r.Body)
 			}
 		}
 		return true, nil
@@ -268,21 +257,19 @@ func (m *Manager) analyze(src TransStatusSource, floor wal.LSN) (*analysis, erro
 	if err != nil {
 		return nil, err
 	}
-	// Aborted transactions were fully compensated before their abort
-	// record was written; they need no further attention.
-	for tid, st := range a.status {
-		if st == types.StatusAborted {
-			delete(a.status, tid)
-		}
-	}
-	// Subtransactions commit with their top-level parent (§2.1.3): one
-	// commit (or prepare) record is written for the root, and every
-	// subtransaction that did not independently abort inherits its fate.
-	for tid, st := range a.status {
-		if st == types.StatusActive && !tid.IsTopLevel() {
-			if rst, ok := a.status[tid.TopLevel()]; ok &&
-				(rst == types.StatusCommitted || rst == types.StatusPrepared) {
-				a.status[tid] = rst
+	for tid, t := range a.trans {
+		switch {
+		case t.status == types.StatusAborted:
+			// Fully compensated before its abort record was written; it
+			// needs no further attention.
+			delete(a.trans, tid)
+		case t.status == types.StatusActive && !tid.IsTopLevel():
+			// Subtransactions commit with their top-level parent (§2.1.3):
+			// one commit (or prepare) record is written for the root, and
+			// every subtransaction that did not independently abort
+			// inherits its fate.
+			if rst := a.status(tid.TopLevel()); rst == types.StatusCommitted || rst == types.StatusPrepared {
+				t.status = rst
 			}
 		}
 	}
@@ -366,48 +353,16 @@ func (m *Manager) applyValueRedo(r *wal.Record, body *wal.UpdateBody) error {
 // undoPass reverses losers newest-first along their backward chains,
 // logging CLRs exactly as a normal abort does.
 func (m *Manager) undoPass(a *analysis, report *RestartReport) error {
-	for tid, st := range a.status {
-		if st != types.StatusActive {
+	for tid, t := range a.trans {
+		if t.status != types.StatusActive {
 			continue
 		}
-		if err := m.undoChainCounted(tid, a.lastLSN[tid], a.compensated, report); err != nil {
+		scanned, undone, err := m.undoChain(tid, t.lastLSN, a.compensated)
+		report.RecordsScanned += scanned
+		report.Undone += undone
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// undoChainCounted is undoChain with report accounting.
-func (m *Manager) undoChainCounted(tid types.TransID, last wal.LSN, pre map[wal.LSN]bool, report *RestartReport) error {
-	compensated := make(map[wal.LSN]bool, len(pre))
-	for l := range pre {
-		compensated[l] = true
-	}
-	var toUndo []*wal.Record
-	err := m.log.TransBackChain(last, func(r *wal.Record) (bool, error) {
-		report.RecordsScanned++
-		switch r.Type {
-		case wal.RecUpdateCLR, wal.RecOperationCLR:
-			clr, err := wal.DecodeCLR(r.Body)
-			if err != nil {
-				return false, err
-			}
-			compensated[clr.CompLSN] = true
-		case wal.RecUpdate, wal.RecOperation:
-			if !compensated[r.LSN] {
-				toUndo = append(toUndo, r)
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range toUndo {
-		if err := m.undoRecord(r); err != nil {
-			return err
-		}
-		report.Undone++
 	}
 	return nil
 }
@@ -449,8 +404,8 @@ func (m *Manager) singleBackwardPass(a *analysis, report *RestartReport) error {
 			return true, nil
 		}
 		done[body.Object] = true
-		st := a.status[r.TID]
-		// Aborted transactions were dropped from a.status; their CLRs
+		st := a.status(r.TID)
+		// Aborted transactions were dropped from a.trans; their CLRs
 		// carry the value to reinstate, so they count as winners. Active
 		// transactions are losers.
 		loser := st == types.StatusActive && r.Type == wal.RecUpdate

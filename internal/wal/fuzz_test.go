@@ -30,10 +30,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			UndoArgs: []byte("undo-args"),
 			Pages:    []PageSeq{{Page: types.PageID{Segment: 4, Page: 9}, Seq: 11}},
 		})},
-		{LSN: 5, Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{
-			DirtyPages: []DirtyPage{{Page: types.PageID{Segment: 1, Page: 2}, RecLSN: 3}},
-			Active:     []ActiveTrans{{TID: tid, Status: types.StatusActive, LastLSN: 4, FirstLSN: 2}},
-		})},
+		{LSN: 5, Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{RedoLSN: 2})},
 		{LSN: 6, Type: RecPrepare, TID: tid, Body: EncodePrepare(&PrepareBody{
 			Parent:   "coord",
 			Children: []types.NodeID{"p1", "p2"},
@@ -44,7 +41,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			Acceptors: []types.NodeID{"a1", "a2", "a3"},
 		})},
 		{LSN: 9, Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{
-			ACP: []byte{0xde, 0xad, 0xbe, 0xef},
+			RedoLSN: 6,
+			ACP:     []byte{0xde, 0xad, 0xbe, 0xef},
 		})},
 		{LSN: 7, Type: RecUpdateCLR, TID: tid, Body: EncodeCLR(&CLRBody{CompLSN: 3, Inner: []byte("inner")})},
 	}

@@ -323,7 +323,7 @@ func TestWrapKeepsLowWaterSector(t *testing.T) {
 
 func TestCheckpointAnchorPersists(t *testing.T) {
 	lg, d, _ := testLog(t, 64)
-	lsn, err := lg.AppendAndForce(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{})})
+	lsn, err := lg.AppendAndForce(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{RedoLSN: firstLSN})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestCheckpointAnchorPersists(t *testing.T) {
 
 func TestSetCheckpointRequiresDurable(t *testing.T) {
 	lg, _, _ := testLog(t, 64)
-	lsn, err := lg.Append(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{})})
+	lsn, err := lg.Append(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{RedoLSN: firstLSN})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ const (
 	RecCommit                  // transaction (or top-level tree) committed
 	RecAbort                   // transaction aborted
 	RecPrepare                 // participant prepared in 2PC, effects must persist
-	RecCheckpoint              // periodic checkpoint: dirty pages + active transactions
+	RecCheckpoint              // periodic checkpoint: redo LSN + acceptor state
 	RecUpdateCLR               // compensation for an undone value record
 	RecOperationCLR            // compensation for an undone operation record
 	RecACP                     // acp acceptor state (promise/accept/decide), body owned by internal/acp
@@ -386,13 +386,15 @@ func DecodeOperation(b []byte) (*OperationBody, error) {
 	return o, nil
 }
 
-// CheckpointBody is the body of a checkpoint record (§2.1.3, §3.2.2): the
-// pages currently dirty in volatile storage (with the LSN of the earliest
-// unapplied change, bounding how far back redo must scan) and the status of
-// currently active transactions.
+// CheckpointBody is the body of a checkpoint record (§2.1.3, §3.2.2). It
+// holds one position and one blob, never a per-page or per-transaction
+// table, so no amount of load can make it outgrow a record.
 type CheckpointBody struct {
-	DirtyPages []DirtyPage
-	Active     []ActiveTrans
+	// RedoLSN is where restart's scan begins: no later than any dirty
+	// page's earliest unapplied record and any live transaction's first
+	// record when the checkpoint was taken. Restart rebuilds the
+	// transaction table from the log from here on.
+	RedoLSN LSN
 	// ACP is an opaque snapshot of commit-protocol acceptor state (encoded
 	// and decoded by internal/acp). Including it here lets a checkpoint
 	// truncate RecACP records the same way it truncates update records:
@@ -401,123 +403,40 @@ type CheckpointBody struct {
 	ACP []byte
 }
 
-// DirtyPage records one dirty buffer page at checkpoint time.
-type DirtyPage struct {
-	Page   types.PageID
-	RecLSN LSN // earliest log record whose effect may not be on disk
-}
+// checkpointFormat leads every checkpoint body. It is never 0, the first
+// byte of every checkpoint in the earlier table-carrying layout (a u32
+// dirty-page count), so a log written in that layout is rejected rather
+// than misread.
+const checkpointFormat byte = 2
 
-// ActiveTrans records one live transaction at checkpoint time.
-type ActiveTrans struct {
-	TID      types.TransID
-	Status   types.Status
-	LastLSN  LSN
-	FirstLSN LSN
-}
+// checkpointHeader is the encoded size of a checkpoint body without its
+// ACP blob, and MaxCheckpointACP the largest blob that fits beside it.
+const (
+	checkpointHeader = 1 + 8
+	MaxCheckpointACP = MaxBodySize - checkpointHeader
+)
 
-// EncodeCheckpoint serializes a checkpoint body.
+// EncodeCheckpoint serializes a checkpoint body: format byte, redo LSN,
+// then the ACP blob to the end of the body.
 func EncodeCheckpoint(c *CheckpointBody) []byte {
-	b := make([]byte, 0, 8+16*len(c.DirtyPages)+64*len(c.Active))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(c.DirtyPages)))
-	for _, d := range c.DirtyPages {
-		b = binary.BigEndian.AppendUint32(b, uint32(d.Page.Segment))
-		b = binary.BigEndian.AppendUint32(b, d.Page.Page)
-		b = binary.BigEndian.AppendUint64(b, uint64(d.RecLSN))
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(c.Active)))
-	for _, a := range c.Active {
-		b = appendString(b, string(a.TID.Node))
-		b = appendString(b, string(a.TID.RootNode))
-		b = binary.BigEndian.AppendUint64(b, a.TID.Seq)
-		b = binary.BigEndian.AppendUint64(b, a.TID.RootSeq)
-		b = append(b, byte(a.Status))
-		b = binary.BigEndian.AppendUint64(b, uint64(a.LastLSN))
-		b = binary.BigEndian.AppendUint64(b, uint64(a.FirstLSN))
-	}
-	// The ACP tail is appended only when non-empty: checkpoints written
-	// before the acp subsystem existed have no tail, and emitting none for
-	// an empty blob keeps those old records and new ACP-free records
-	// byte-identical (one canonical encoding per body, which the fuzz
-	// round-trip invariant relies on).
-	if len(c.ACP) > 0 {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(c.ACP)))
-		b = append(b, c.ACP...)
-	}
-	return b
+	b := make([]byte, 0, checkpointHeader+len(c.ACP))
+	b = append(b, checkpointFormat)
+	b = binary.BigEndian.AppendUint64(b, uint64(c.RedoLSN))
+	return append(b, c.ACP...)
 }
 
 // DecodeCheckpoint parses a checkpoint body.
 func DecodeCheckpoint(b []byte) (*CheckpointBody, error) {
-	c := &CheckpointBody{}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: short checkpoint", ErrCorrupt)
+	if len(b) < checkpointHeader || b[0] != checkpointFormat {
+		return nil, fmt.Errorf("%w: not a checkpoint body", ErrCorrupt)
 	}
-	nd := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < 16*nd {
-		return nil, fmt.Errorf("%w: checkpoint dirty pages", ErrCorrupt)
+	c := &CheckpointBody{RedoLSN: LSN(binary.BigEndian.Uint64(b[1:9]))}
+	if c.RedoLSN == NilLSN {
+		return nil, fmt.Errorf("%w: checkpoint without a redo LSN", ErrCorrupt)
 	}
-	c.DirtyPages = make([]DirtyPage, nd)
-	for i := 0; i < nd; i++ {
-		c.DirtyPages[i].Page.Segment = types.SegmentID(binary.BigEndian.Uint32(b[0:4]))
-		c.DirtyPages[i].Page.Page = binary.BigEndian.Uint32(b[4:8])
-		c.DirtyPages[i].RecLSN = LSN(binary.BigEndian.Uint64(b[8:16]))
-		b = b[16:]
+	if len(b) > checkpointHeader {
+		c.ACP = append([]byte(nil), b[checkpointHeader:]...)
 	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: checkpoint active list", ErrCorrupt)
-	}
-	na := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Each active entry is at least 37 bytes (two empty length-prefixed
-	// names plus the fixed fields); validate the count against the bytes
-	// actually present before allocating, so a corrupt count cannot force
-	// a multi-gigabyte allocation.
-	if len(b) < 37*na {
-		return nil, fmt.Errorf("%w: checkpoint active count %d", ErrCorrupt, na)
-	}
-	c.Active = make([]ActiveTrans, na)
-	for i := 0; i < na; i++ {
-		node, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
-		rootNode, rest, err := takeString(rest)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if len(b) < 8+8+1+8+8 {
-			return nil, fmt.Errorf("%w: checkpoint active entry", ErrCorrupt)
-		}
-		c.Active[i].TID.Node = types.NodeID(node)
-		c.Active[i].TID.RootNode = types.NodeID(rootNode)
-		c.Active[i].TID.Seq = binary.BigEndian.Uint64(b[0:8])
-		c.Active[i].TID.RootSeq = binary.BigEndian.Uint64(b[8:16])
-		c.Active[i].Status = types.Status(b[16])
-		c.Active[i].LastLSN = LSN(binary.BigEndian.Uint64(b[17:25]))
-		c.Active[i].FirstLSN = LSN(binary.BigEndian.Uint64(b[25:33]))
-		b = b[33:]
-	}
-	// No trailing bytes: a checkpoint from before the acp subsystem, or one
-	// with no acceptor state — both decode to an empty ACP blob.
-	if len(b) == 0 {
-		return c, nil
-	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: checkpoint acp length", ErrCorrupt)
-	}
-	nb := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != nb {
-		return nil, fmt.Errorf("%w: checkpoint acp blob %d bytes, have %d", ErrCorrupt, nb, len(b))
-	}
-	if nb == 0 {
-		// An empty blob is encoded by omitting the tail entirely; a present
-		// zero-length tail is not a canonical encoding.
-		return nil, fmt.Errorf("%w: checkpoint empty acp tail", ErrCorrupt)
-	}
-	c.ACP = append([]byte(nil), b...)
 	return c, nil
 }
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -153,32 +154,30 @@ func TestOperationBodyRoundTripQuick(t *testing.T) {
 }
 
 func TestCheckpointBodyRoundTrip(t *testing.T) {
-	c := &CheckpointBody{
-		DirtyPages: []DirtyPage{
-			{Page: types.PageID{Segment: 1, Page: 4}, RecLSN: 100},
-			{Page: types.PageID{Segment: 2, Page: 9}, RecLSN: 250},
-		},
-		Active: []ActiveTrans{
-			{TID: sampleTID(), Status: types.StatusActive, LastLSN: 300, FirstLSN: 120},
-			{TID: types.TransID{Node: "x", Seq: 1, RootNode: "x", RootSeq: 1}, Status: types.StatusPrepared, LastLSN: 400, FirstLSN: 80},
-		},
-	}
-	got, err := DecodeCheckpoint(EncodeCheckpoint(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c, got) {
-		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", c, got)
+	for _, c := range []*CheckpointBody{
+		{RedoLSN: 120},
+		{RedoLSN: 1, ACP: []byte{1, 2, 3}},
+	} {
+		got, err := DecodeCheckpoint(EncodeCheckpoint(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c, got) {
+			t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", c, got)
+		}
 	}
 }
 
+// TestCheckpointBodyEmpty: a checkpoint must name where restart begins.
+// A body without a redo LSN, an empty body, and a body in the earlier
+// table-carrying layout (zero dirty pages, one active transaction) are all
+// rejected rather than read as a scan from the start of the log.
 func TestCheckpointBodyEmpty(t *testing.T) {
-	got, err := DecodeCheckpoint(EncodeCheckpoint(&CheckpointBody{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.DirtyPages) != 0 || len(got.Active) != 0 {
-		t.Errorf("got %+v", got)
+	earlier := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	for _, b := range [][]byte{EncodeCheckpoint(&CheckpointBody{}), nil, earlier} {
+		if c, err := DecodeCheckpoint(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeCheckpoint(%x) = %+v, %v; want ErrCorrupt", b, c, err)
+		}
 	}
 }
 
@@ -229,31 +228,6 @@ func TestPrepareBodyLegacyFormat(t *testing.T) {
 	// rejected (the codec stays bijective for the fuzz round-trip).
 	if _, err := DecodePrepare(append(legacy, 0, 0)); err == nil {
 		t.Error("empty acceptor tail accepted")
-	}
-}
-
-// TestCheckpointBodyLegacyFormat: same compatibility pin for checkpoint
-// records — no trailing ACP length means an empty ACP blob, and an
-// ACP-free checkpoint encodes without the tail.
-func TestCheckpointBodyLegacyFormat(t *testing.T) {
-	legacy := []byte{0, 0, 0, 0, 0, 0, 0, 0} // zero dirty pages, zero active
-	got, err := DecodeCheckpoint(legacy)
-	if err != nil {
-		t.Fatalf("legacy checkpoint body rejected: %v", err)
-	}
-	if len(got.ACP) != 0 {
-		t.Errorf("legacy decode: %+v", got)
-	}
-	if !bytes.Equal(EncodeCheckpoint(got), legacy) {
-		t.Error("ACP-free checkpoint encoding differs from legacy bytes")
-	}
-	if _, err := DecodeCheckpoint(append(legacy, 0, 0, 0, 0)); err == nil {
-		t.Error("empty ACP tail accepted")
-	}
-	withACP := &CheckpointBody{ACP: []byte{1, 2, 3}}
-	rt, err := DecodeCheckpoint(EncodeCheckpoint(withACP))
-	if err != nil || !bytes.Equal(rt.ACP, withACP.ACP) {
-		t.Errorf("ACP blob round trip: %+v err %v", rt, err)
 	}
 }
 
