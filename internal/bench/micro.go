@@ -6,7 +6,6 @@ import (
 
 	"tabs/internal/core"
 	"tabs/internal/disk"
-	"tabs/internal/port"
 	"tabs/internal/simclock"
 	"tabs/internal/srvlib"
 	"tabs/internal/stats"
@@ -108,26 +107,12 @@ func measureStableWrite(out *MicroResults) error {
 	return nil
 }
 
-// measureMessaging times this implementation's message and call
-// primitives in wall-clock terms: a port round trip (small message), a
-// local null data server call, and a remote null call through the
-// Communication Managers over the in-memory network.
+// measureMessaging times this implementation's call primitives in
+// wall-clock terms: a local null data server call, a remote null call
+// through the Communication Managers over the in-memory network, and a
+// datagram. The message primitives have no Go counterpart to time: the
+// components they connected call each other directly.
 func measureMessaging(out *MicroResults) error {
-	// Small message: port send + receive.
-	p := port.New("micro", nil)
-	const msgs = 20000
-	start := time.Now()
-	for i := 0; i < msgs; i++ {
-		if err := p.SendQuiet(&port.Message{Op: "x"}); err != nil {
-			return err
-		}
-		if _, err := p.Receive(); err != nil {
-			return err
-		}
-	}
-	out.GoMicros[simclock.SmallMsg] = float64(time.Since(start).Microseconds()) / msgs
-	p.Close()
-
 	// Null data server calls, local and remote.
 	cluster, err := workload.Boot(workload.Options{
 		Cluster: core.DefaultClusterOptions(),
@@ -147,7 +132,7 @@ func measureMessaging(out *MicroResults) error {
 	defer cluster.Shutdown()
 	n1 := cluster.Node("m1")
 	const calls = 5000
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < calls; i++ {
 		if _, err := n1.Call("null", "noop", types.NilTransID, nil); err != nil {
 			return err
@@ -180,7 +165,6 @@ func FormatWallSummary(m *MicroResults) string {
 	if m == nil {
 		return ""
 	}
-	return fmt.Sprintf("Go implementation primitives: small msg %.1fµs, local call %.1fµs, remote call %.1fµs, datagram %.1fµs\n",
-		m.GoMicros[simclock.SmallMsg], m.GoMicros[simclock.DataServerCall],
-		m.GoMicros[simclock.InterNodeCall], m.GoMicros[simclock.Datagram])
+	return fmt.Sprintf("Go implementation primitives: local call %.1fµs, remote call %.1fµs, datagram %.1fµs\n",
+		m.GoMicros[simclock.DataServerCall], m.GoMicros[simclock.InterNodeCall], m.GoMicros[simclock.Datagram])
 }

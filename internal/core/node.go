@@ -79,15 +79,11 @@ type Config struct {
 	PoolPages int
 	// Transport connects the node to the network; nil isolates it.
 	Transport comm.Transport
-	// Registry, when set, gives each TABS component its own primitive
-	// recorder ("<id>/kernel", "<id>/rm", "<id>/tm", "<id>/cm",
-	// "<id>/wal", "<id>/srv"), which the benchmark projections need to
-	// attribute messages to components (paper §5.3). When nil, Rec (or a
-	// private recorder) is shared by every component.
+	// Registry gives each TABS component its own primitive recorder
+	// ("<id>/kernel", "<id>/rm", "<id>/tm", "<id>/cm", "<id>/wal",
+	// "<id>/srv"), which the benchmark projections need to attribute
+	// messages to components (paper §5.3). Nil selects a private registry.
 	Registry *stats.Registry
-	// Rec records primitive operations; nil creates a private recorder.
-	// Ignored when Registry is set.
-	Rec *stats.Recorder
 	// CheckpointEvery configures the Recovery Manager.
 	CheckpointEvery int
 	// LockTimeout is the default data-server lock time-out.
@@ -95,9 +91,6 @@ type Config struct {
 	// DisableTrace turns the per-node trace/metrics layer off entirely;
 	// every component then takes the nil-tracer fast path.
 	DisableTrace bool
-	// TraceSpanCapacity bounds the span ring buffer; 0 selects
-	// trace.DefaultSpanCapacity.
-	TraceSpanCapacity int
 	// WALFaultHook threads the fault-injection layer into the node's log
 	// (see wal.Config.FaultHook); nil injects nothing.
 	WALFaultHook wal.FaultHook
@@ -169,48 +162,36 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.LogSectors < 2 {
 		cfg.LogSectors = 256
 	}
-	// Component recorders: distinct when a registry is supplied, shared
-	// otherwise.
-	var kernelRec, walRec, rmRec, tmRec, cmRec, srvRec *stats.Recorder
-	if cfg.Registry != nil {
-		id := string(cfg.ID)
-		kernelRec = cfg.Registry.Recorder(id + "/kernel")
-		walRec = cfg.Registry.Recorder(id + "/wal")
-		rmRec = cfg.Registry.Recorder(id + "/rm")
-		tmRec = cfg.Registry.Recorder(id + "/tm")
-		cmRec = cfg.Registry.Recorder(id + "/cm")
-		srvRec = cfg.Registry.Recorder(id + "/srv")
-	} else {
-		rec := cfg.Rec
-		if rec == nil {
-			rec = stats.NewRecorder()
-		}
-		kernelRec, walRec, rmRec, tmRec, cmRec, srvRec = rec, rec, rec, rec, rec, rec
+	if cfg.Registry == nil {
+		cfg.Registry = stats.NewRegistry()
+	}
+	recorder := func(component string) *stats.Recorder {
+		return cfg.Registry.Recorder(string(cfg.ID) + "/" + component)
 	}
 	n := &Node{
 		id:      cfg.ID,
 		cfg:     cfg,
 		d:       cfg.Disk,
-		rec:     srvRec,
+		rec:     recorder("srv"),
 		servers: make(map[types.ServerID]*srvlib.Server),
 		segDir:  make(map[types.SegmentID]segEntry),
 	}
 	if !cfg.DisableTrace {
-		n.tr = trace.New(string(cfg.ID), cfg.TraceSpanCapacity)
+		n.tr = trace.New(string(cfg.ID), 0)
 	}
-	n.Kernel = kernel.New(kernel.Config{Disk: cfg.Disk, PoolPages: cfg.PoolPages, Rec: kernelRec, Trace: n.tr})
-	lg, err := wal.Open(wal.Config{Disk: cfg.Disk, Base: 0, Sectors: cfg.LogSectors, Rec: walRec, Trace: n.tr, FaultHook: cfg.WALFaultHook})
+	n.Kernel = kernel.New(kernel.Config{Disk: cfg.Disk, PoolPages: cfg.PoolPages, Rec: recorder("kernel"), Trace: n.tr})
+	lg, err := wal.Open(wal.Config{Disk: cfg.Disk, Base: 0, Sectors: cfg.LogSectors, Rec: recorder("wal"), Trace: n.tr, FaultHook: cfg.WALFaultHook})
 	if err != nil {
 		return nil, fmt.Errorf("core: mounting log: %w", err)
 	}
 	n.Log = lg
-	n.RM = recovery.New(recovery.Config{Log: lg, Kernel: n.Kernel, Rec: rmRec, CheckpointEvery: cfg.CheckpointEvery, Trace: n.tr})
+	n.RM = recovery.New(recovery.Config{Log: lg, Kernel: n.Kernel, Rec: recorder("rm"), CheckpointEvery: cfg.CheckpointEvery, Trace: n.tr})
 	if cfg.Transport != nil {
-		n.CM = comm.New(cfg.ID, cfg.Transport, cmRec)
+		n.CM = comm.New(cfg.ID, cfg.Transport, recorder("cm"))
 		n.CM.AttachTracer(n.tr)
 	}
 	if n.CM != nil {
-		n.TM = txn.New(cfg.ID, n.RM, n.CM, tmRec)
+		n.TM = txn.New(cfg.ID, n.RM, n.CM, recorder("tm"))
 		n.CM.SetTransactionNoter(n.TM)
 		n.CM.RegisterService(DataServerService, n.handleRemoteCall)
 		n.CM.RegisterService(TraceControlService, n.handleTraceControl)
@@ -218,7 +199,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.CM.RegisterService(ACPControlService, n.handleACPControl)
 		n.CM.RegisterService(MigrateControlService, n.handleMigrateControl)
 	} else {
-		n.TM = txn.New(cfg.ID, n.RM, nil, tmRec)
+		n.TM = txn.New(cfg.ID, n.RM, nil, recorder("tm"))
 	}
 	n.TM.AttachTracer(n.tr)
 	// The acp endpoint is always constructed: the acceptor role must be
@@ -271,9 +252,6 @@ func nsBroadcaster(n *Node) nameserver.Broadcaster {
 
 // ID returns the node's identifier.
 func (n *Node) ID() types.NodeID { return n.id }
-
-// Rec returns the node's primitive-operation recorder.
-func (n *Node) Rec() *stats.Recorder { return n.rec }
 
 // Tracer returns the node's trace layer (nil when disabled).
 func (n *Node) Tracer() *trace.Tracer { return n.tr }
@@ -385,7 +363,6 @@ func (n *Node) NewServer(id types.ServerID, seg types.SegmentID, pages uint32, c
 		Kernel:      n.Kernel,
 		RM:          n.RM,
 		TM:          n.TM,
-		Rec:         n.rec,
 		Segment:     seg,
 		LockCompat:  compat,
 		LockTimeout: timeout,
@@ -462,10 +439,9 @@ func (n *Node) Call(server types.ServerID, op string, tid types.TransID, body []
 		return nil, fmt.Errorf("%w: %q", ErrNoServer, server)
 	}
 	n.rec.Record(simclock.DataServerCall)
-	// Synchronous fast path: enter the server's monitor directly. The
-	// request/response pair is still one Data Server Call primitive; the
-	// reply port and serving goroutine of the message path are pure
-	// implementation overhead for a same-node call.
+	// The request enters the server's monitor on this goroutine, as a
+	// remote request does in handleRemoteCall; the request/response pair
+	// is one Data Server Call primitive.
 	return s.Invoke(op, tid, body)
 }
 

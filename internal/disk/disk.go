@@ -111,8 +111,8 @@ type Disk struct {
 	sectors  []Sector
 	arm      Addr // current arm position (last sector accessed + 1)
 	armValid bool
-	// onIO, if set, receives the virtual latency of each access so a
-	// clock can be advanced. Set via SetIOHook.
+	// onIO, if set, receives the modelled latency of each access, for a
+	// caller to total or sleep. Set via SetIOHook.
 	onIO func(millis float64, sequential bool)
 	// failWrites makes the next n writes fail (failure injection).
 	failWrites int

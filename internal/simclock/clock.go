@@ -1,21 +1,17 @@
-// Package simclock provides the virtual clock and the primitive-operation
-// cost models used by the TABS performance methodology (paper §5.1).
+// Package simclock names the primitive operations of the TABS performance
+// methodology (paper §5.1) and holds their cost models.
 //
 // The paper evaluates TABS by decomposing each benchmark transaction into a
 // weighted sum of primitive operations — data server calls, messages,
 // datagrams, paged I/O, and stable-storage writes — whose individual costs
 // were measured on a Perq T2 (Table 5-1) and projected for a tuned
-// implementation (Table 5-5). This package holds those parameter sets and a
-// virtual clock that components charge as they execute primitives, so the
-// repository can regenerate the paper's predicted and simulated elapsed
-// times without the original hardware.
+// implementation (Table 5-5). Components count the primitives they execute
+// (package stats); a count priced under one of these parameter sets
+// (stats.Counts.Predict) regenerates the paper's predicted times without
+// the original hardware.
 package simclock
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Primitive identifies one of the primitive operations of Table 5-1.
 type Primitive int
@@ -57,18 +53,12 @@ func (p Primitive) String() string {
 	return primitiveNames[p]
 }
 
-// CostModel maps each primitive operation to its cost in virtual
-// milliseconds. The zero value charges nothing for every primitive.
+// CostModel maps each primitive operation to its cost in milliseconds. The zero value charges nothing for every primitive.
 type CostModel struct {
 	// Times holds the cost of each primitive in milliseconds.
 	Times [NumPrimitives]float64
 	// Name labels the parameter set in reports ("Perq T2", "Achievable").
 	Name string
-}
-
-// Cost returns the cost of p as a virtual duration.
-func (m *CostModel) Cost(p Primitive) time.Duration {
-	return time.Duration(m.Times[p] * float64(time.Millisecond))
 }
 
 // Millis returns the cost of p in milliseconds.
@@ -110,53 +100,4 @@ func Achievable() *CostModel {
 			StableWrite:    32,
 		},
 	}
-}
-
-// Clock is a virtual clock advanced by charging primitive costs. It is safe
-// for concurrent use. A Clock may be shared by all components of a node, or
-// by a whole simulated cluster when single-threaded determinism is wanted.
-type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
-}
-
-// NewClock returns a clock at virtual time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current virtual time.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d and returns the new time.
-// Negative d is ignored.
-func (c *Clock) Advance(d time.Duration) time.Duration {
-	if d < 0 {
-		return c.Now()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t if t is later than now, and
-// returns the new time. Used to merge parallel execution paths: the joiner
-// advances to the maximum of the branch completion times.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Reset returns the clock to virtual time zero.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
 }

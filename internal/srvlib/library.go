@@ -1,6 +1,7 @@
 package srvlib
 
 import (
+	"errors"
 	"fmt"
 
 	"tabs/internal/lock"
@@ -184,7 +185,9 @@ func (s *Server) PinAndBuffer(tid types.TransID, obj types.ObjectID) error {
 // LogAndUnPin sends the buffered old value and the existing (new) value to
 // the Recovery Manager and unpins the object (Table 3-1). Objects spanning
 // multiple pages are split into per-page records, keeping each record's
-// values within the one-page limit of value logging (§2.1.3).
+// values within the one-page limit of value logging (§2.1.3). If the new
+// value cannot be logged, no record could undo it, so the old value is
+// written back before the object is unpinned and the error returned.
 func (s *Server) LogAndUnPin(tid types.TransID, obj types.ObjectID) error {
 	s.smu.Lock()
 	b := s.buffers[tid]
@@ -197,11 +200,11 @@ func (s *Server) LogAndUnPin(tid types.TransID, obj types.ObjectID) error {
 		return fmt.Errorf("%w: %v", ErrNotBuffered, obj)
 	}
 	cur, err := s.k.Read(obj)
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.logValue(tid, obj, old, cur)
 	}
-	if err := s.logValue(tid, obj, old, cur); err != nil {
-		return err
+	if err != nil {
+		return errors.Join(err, s.k.Write(obj, old), s.UnPinObject(obj))
 	}
 	return s.UnPinObject(obj)
 }

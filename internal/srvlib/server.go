@@ -21,9 +21,7 @@ import (
 
 	"tabs/internal/kernel"
 	"tabs/internal/lock"
-	"tabs/internal/port"
 	"tabs/internal/recovery"
-	"tabs/internal/stats"
 	"tabs/internal/trace"
 	"tabs/internal/txn"
 	"tabs/internal/types"
@@ -62,7 +60,6 @@ type Config struct {
 	Kernel *kernel.Kernel
 	RM     *recovery.Manager
 	TM     *txn.Manager
-	Rec    *stats.Recorder
 	// Segment is the server's recoverable segment (its permanent data
 	// mapped into virtual memory, §3.2.1).
 	Segment types.SegmentID
@@ -77,22 +74,18 @@ type Config struct {
 
 // Server is one data server instance.
 type Server struct {
-	id          types.ServerID
-	k           *kernel.Kernel
-	rm          *recovery.Manager
-	tm          *txn.Manager
-	rec         *stats.Recorder
-	seg         types.SegmentID
-	lockCompat  lock.Compat
-	lockTimeout time.Duration
-	tr          *trace.Tracer
+	id  types.ServerID
+	k   *kernel.Kernel
+	rm  *recovery.Manager
+	tm  *txn.Manager
+	seg types.SegmentID
+	tr  *trace.Tracer
 
 	// monitor serializes coroutines: exactly one operation executes at a
 	// time; blocking points release it (coroutine switch).
 	monitor sync.Mutex
 
 	locks *lock.Manager
-	reqs  *port.Port
 
 	// smu guards the per-transaction bookkeeping below; it is distinct
 	// from the monitor because the Transaction and Recovery Managers call
@@ -113,7 +106,7 @@ type Server struct {
 	// ops is the operation-logging interpreter table.
 	ops map[string]OpFunc
 	// dispatch is the operation dispatcher installed by AcceptRequests;
-	// Invoke runs requests through it synchronously.
+	// Invoke runs every request through it.
 	dispatch DispatchFunc
 
 	closed bool
@@ -122,23 +115,19 @@ type Server struct {
 // New creates a data server (InitServer of Table 3-1).
 func New(cfg Config) *Server {
 	s := &Server{
-		id:          cfg.ID,
-		k:           cfg.Kernel,
-		rm:          cfg.RM,
-		tm:          cfg.TM,
-		rec:         cfg.Rec,
-		seg:         cfg.Segment,
-		lockCompat:  cfg.LockCompat,
-		lockTimeout: cfg.LockTimeout,
-		tr:          cfg.Trace,
-		locks:       lock.NewTyped(cfg.LockCompat, cfg.LockTimeout),
-		reqs:        port.New(string(cfg.ID), cfg.Rec),
-		buffers:     make(map[types.TransID]map[types.ObjectID][]byte),
-		marked:      make(map[types.TransID][]types.ObjectID),
-		joined:      make(map[types.TransID]bool),
-		byTop:       make(map[types.TransID]map[types.TransID]bool),
-		pins:        make(map[types.PageID]int),
-		ops:         make(map[string]OpFunc),
+		id:      cfg.ID,
+		k:       cfg.Kernel,
+		rm:      cfg.RM,
+		tm:      cfg.TM,
+		seg:     cfg.Segment,
+		tr:      cfg.Trace,
+		locks:   lock.NewTyped(cfg.LockCompat, cfg.LockTimeout),
+		buffers: make(map[types.TransID]map[types.ObjectID][]byte),
+		marked:  make(map[types.TransID][]types.ObjectID),
+		joined:  make(map[types.TransID]bool),
+		byTop:   make(map[types.TransID]map[types.TransID]bool),
+		pins:    make(map[types.PageID]int),
+		ops:     make(map[string]OpFunc),
 	}
 	s.locks.AttachTracer(s.tr)
 	return s
@@ -153,10 +142,6 @@ func (s *Server) Segment() types.SegmentID { return s.seg }
 // Locks exposes the server's lock manager (tests and ablations).
 func (s *Server) Locks() *lock.Manager { return s.locks }
 
-// Port returns the server's request port; the node routes operation
-// requests to it.
-func (s *Server) Port() *port.Port { return s.reqs }
-
 // RecoverServer registers the server's undo/redo code with the Recovery
 // Manager (Table 3-1: RecoverServer "accepts the log records that the
 // Recovery Manager reads from the log" and "calls the server library's
@@ -165,34 +150,21 @@ func (s *Server) RecoverServer() {
 	s.rm.RegisterUndoer(s.id, s)
 }
 
-// AcceptRequests starts the request loop: each incoming request becomes a
-// coroutine dispatched through fn (Table 3-1). The loop runs until the
-// port closes. It also installs fn as the dispatcher Invoke uses for the
-// same-node fast path.
+// AcceptRequests installs fn as the server's dispatcher (Table 3-1):
+// every request Invoke delivers from then on is one coroutine dispatched
+// through fn. It starts no goroutine; requests run on their callers'.
 func (s *Server) AcceptRequests(fn DispatchFunc) {
 	s.smu.Lock()
 	s.dispatch = fn
 	s.smu.Unlock()
-	go func() {
-		for {
-			msg, err := s.reqs.Receive()
-			if err != nil {
-				return
-			}
-			go s.serve(msg, fn)
-		}
-	}()
 }
 
-// Invoke runs one operation synchronously on the caller's goroutine,
-// entering the monitor directly instead of routing a message through the
-// request port and a fresh serving goroutine. The monitor semantics are
-// identical to the port path — the request is one coroutine, blocking
-// points inside the operation release the monitor via await — but the
-// per-request reply port, channel hops, goroutine spawn and its stack
-// growth are gone, which is most of the local Data Server Call's CPU cost.
-// The Data Server Call primitive is charged by the caller (core.Node), as
-// on the port path.
+// Invoke runs one operation as a coroutine on the caller's goroutine: it
+// enters the monitor, and blocking points inside the operation release it
+// via await (§3.1.1). A panicking operation is confined to its own request
+// — the caller gets an error and the server keeps serving, the way a TABS
+// server survived a misbehaving operation rather than taking the node with
+// it. The Data Server Call primitive is charged by the caller (core.Node).
 func (s *Server) Invoke(op string, tid types.TransID, body []byte) ([]byte, error) {
 	s.smu.Lock()
 	fn := s.dispatch
@@ -206,25 +178,6 @@ func (s *Server) Invoke(op string, tid types.TransID, body []byte) ([]byte, erro
 	s.ensureJoined(tid)
 	req := &Request{Op: op, TID: tid, Body: body}
 	return s.dispatchSafely(fn, req)
-}
-
-// serve runs one request as a coroutine inside the monitor. A panicking
-// operation is confined to its own request — the caller gets an error and
-// the server keeps serving, the way a TABS server survived a misbehaving
-// operation rather than taking the node with it.
-func (s *Server) serve(msg *port.Message, fn DispatchFunc) {
-	s.monitor.Lock()
-	defer s.monitor.Unlock()
-	s.ensureJoined(msg.TID)
-	req := &Request{Op: msg.Op, TID: msg.TID, Body: msg.Body}
-	out, err := s.dispatchSafely(fn, req)
-	if msg.ReplyTo != nil {
-		reply := &port.Message{Op: msg.Op, TID: msg.TID, Body: out}
-		if err != nil {
-			reply.Err = err.Error()
-		}
-		_ = msg.ReplyTo.SendQuiet(reply)
-	}
 }
 
 // dispatchSafely converts a handler panic into an operation error.
@@ -406,26 +359,8 @@ func (s *Server) Close() {
 	s.smu.Lock()
 	s.closed = true
 	s.smu.Unlock()
-	s.reqs.Close()
 	s.locks.Close()
 }
-
-// Crash models the loss of the server's volatile state with the node.
-func (s *Server) Crash() {
-	s.smu.Lock()
-	s.buffers = make(map[types.TransID]map[types.ObjectID][]byte)
-	s.marked = make(map[types.TransID][]types.ObjectID)
-	s.joined = make(map[types.TransID]bool)
-	s.byTop = make(map[types.TransID]map[types.TransID]bool)
-	s.pins = make(map[types.PageID]int)
-	s.smu.Unlock()
-	s.locks.Close()
-	s.locks = lock.NewTyped(s.lockCompat, s.lockTimeout)
-	s.locks.AttachTracer(s.tr)
-}
-
-// Stats exposes the underlying recorder (may be nil).
-func (s *Server) Stats() *stats.Recorder { return s.rec }
 
 // ensure interface satisfaction.
 var (

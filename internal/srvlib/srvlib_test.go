@@ -3,6 +3,8 @@ package srvlib_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,7 +13,6 @@ import (
 	"tabs/internal/disk"
 	"tabs/internal/kernel"
 	"tabs/internal/lock"
-	"tabs/internal/port"
 	"tabs/internal/recovery"
 	"tabs/internal/srvlib"
 	"tabs/internal/txn"
@@ -26,7 +27,11 @@ type fixture struct {
 	rm *recovery.Manager
 	tm *txn.Manager
 	s  *srvlib.Server
+	// failAppend makes every log append fail while set.
+	failAppend atomic.Bool
 }
+
+var errInjected = errors.New("injected")
 
 func newFixture(t *testing.T, compat lock.Compat) *fixture {
 	t.Helper()
@@ -35,7 +40,14 @@ func newFixture(t *testing.T, compat lock.Compat) *fixture {
 	if err := k.AddSegment(1, 128, 16); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := wal.Open(wal.Config{Disk: d, Base: 0, Sectors: 64})
+	f := &fixture{k: k}
+	hook := func(point string) error {
+		if point == "wal.append" && f.failAppend.Load() {
+			return errInjected
+		}
+		return nil
+	}
+	lg, err := wal.Open(wal.Config{Disk: d, Base: 0, Sectors: 64, FaultHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +58,8 @@ func newFixture(t *testing.T, compat lock.Compat) *fixture {
 		Segment: 1, LockCompat: compat, LockTimeout: 200 * time.Millisecond,
 	})
 	s.RecoverServer()
-	return &fixture{k: k, rm: rm, tm: tm, s: s}
+	f.rm, f.tm, f.s = rm, tm, s
+	return f
 }
 
 func (f *fixture) begin(t *testing.T) types.TransID {
@@ -130,6 +143,42 @@ func TestLogAndUnPinWithoutBufferFails(t *testing.T) {
 	}
 }
 
+// TestLogAndUnPinFailureRestoresOldValue: when the update cannot be
+// logged, LogAndUnPin puts the old value back and drops the pin, so an
+// abort (which has no record to undo) leaves nothing of the write.
+func TestLogAndUnPinFailureRestoresOldValue(t *testing.T) {
+	f := newFixture(t, nil)
+	tid := f.begin(t)
+	obj := f.s.CreateObjectID(0, 4)
+	if err := f.s.LockObject(tid, obj, lock.ModeWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.s.PinAndBuffer(tid, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.s.Write(obj, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	f.failAppend.Store(true)
+	if err := f.s.LogAndUnPin(tid, obj); !errors.Is(err, errInjected) {
+		t.Fatalf("LogAndUnPin with a failing log: %v", err)
+	}
+	f.failAppend.Store(false)
+	if n := f.k.PinnedPages(); n != 0 {
+		t.Errorf("%d pages still pinned after the failed LogAndUnPin", n)
+	}
+	if err := f.tm.Abort(tid); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.s.Read(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "\x00\x00\x00\x00" {
+		t.Errorf("aborted write visible: %q", got)
+	}
+}
+
 func TestMarkedObjectsProtocol(t *testing.T) {
 	f := newFixture(t, nil)
 	tid := f.begin(t)
@@ -206,18 +255,24 @@ func TestCoroutineMonitorSemantics(t *testing.T) {
 	})
 
 	t1, t2 := f.begin(t), f.begin(t)
-	reply1 := port.New("r1", nil)
-	defer reply1.Close()
-	if err := f.s.Port().SendQuiet(&port.Message{Op: "blocked", TID: t1, ReplyTo: reply1}); err != nil {
-		t.Fatal(err)
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := f.s.Invoke("blocked", t1, nil)
+		blocked <- err
+	}()
+	// Let "blocked" enter its lock wait before the second request.
+	for deadline := time.Now().Add(5 * time.Second); f.s.Locks().Stats().Waits < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("blocked request never waited for the lock")
+		}
+		runtime.Gosched()
 	}
-	time.Sleep(20 * time.Millisecond) // let "blocked" enter its wait
-	reply2 := port.New("r2", nil)
-	defer reply2.Close()
-	if err := f.s.Port().SendQuiet(&port.Message{Op: "fast", TID: t2, ReplyTo: reply2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reply2.Receive(); err != nil {
+	fast := make(chan error, 1)
+	go func() {
+		_, err := f.s.Invoke("fast", t2, nil)
+		fast <- err
+	}()
+	if err := <-fast; err != nil {
 		t.Fatal(err)
 	}
 	if order.Load() != 1 {
@@ -227,7 +282,7 @@ func TestCoroutineMonitorSemantics(t *testing.T) {
 	if err := f.tm.Abort(blocker); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reply1.Receive(); err != nil {
+	if err := <-blocked; err != nil {
 		t.Fatal(err)
 	}
 	if order.Load() != 2 {
@@ -257,17 +312,17 @@ func TestExecuteTransaction(t *testing.T) {
 		ran.Store(true)
 		return nil, err
 	})
-	reply := port.New("r", nil)
-	defer reply.Close()
-	if err := f.s.Port().SendQuiet(&port.Message{Op: "go", TID: f.begin(t), ReplyTo: reply}); err != nil {
-		t.Fatal(err)
+	tid := f.begin(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.s.Invoke("go", tid, nil)
+		done <- err
+	}()
+	if err := <-done; err != nil {
+		t.Fatalf("op error: %v", err)
 	}
-	resp, err := reply.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("op error: %s", resp.Err)
+	if !ran.Load() {
+		t.Fatal("operation did not run")
 	}
 	got, err := f.s.Read(obj)
 	if err != nil {
@@ -351,26 +406,51 @@ func TestPanicConfinedToOperation(t *testing.T) {
 		}
 		return []byte("fine"), nil
 	})
-	call := func(op string) (*port.Message, error) {
-		reply := port.New("r", nil)
-		defer reply.Close()
-		if err := f.s.Port().SendQuiet(&port.Message{Op: op, TID: f.begin(t), ReplyTo: reply}); err != nil {
-			return nil, err
+	call := func(op string) ([]byte, error) {
+		type reply struct {
+			body []byte
+			err  error
 		}
-		return reply.Receive()
+		done := make(chan reply, 1)
+		tid := f.begin(t)
+		go func() {
+			body, err := f.s.Invoke(op, tid, nil)
+			done <- reply{body, err}
+		}()
+		r := <-done
+		return r.body, r.err
 	}
-	resp, err := call("explode")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := call("explode"); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("panic not surfaced: %v", err)
 	}
-	if resp.Err == "" || !strings.Contains(resp.Err, "panicked") {
-		t.Errorf("panic not surfaced: %+v", resp)
+	body, err := call("ok")
+	if err != nil || string(body) != "fine" {
+		t.Errorf("server dead after panic: %q, %v", body, err)
 	}
-	resp, err = call("ok")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAcceptRequestsStartsNoGoroutine: installing a dispatcher starts no
+// request loop; requests run on their callers' goroutines through Invoke.
+func TestAcceptRequestsStartsNoGoroutine(t *testing.T) {
+	f := newFixture(t, nil)
+	servers := make([]*srvlib.Server, 64)
+	for i := range servers {
+		servers[i] = srvlib.New(srvlib.Config{
+			ID: types.ServerID(fmt.Sprintf("srv%d", i)), Kernel: f.k, RM: f.rm, TM: f.tm,
+			Segment: 1, LockTimeout: time.Second,
+		})
 	}
-	if string(resp.Body) != "fine" {
-		t.Errorf("server dead after panic: %+v", resp)
+	before := runtime.NumGoroutine()
+	for _, s := range servers {
+		s.AcceptRequests(func(*srvlib.Request) ([]byte, error) { return nil, nil })
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("AcceptRequests on %d servers raised the goroutine count from %d to %d", len(servers), before, after)
+	}
+	for _, s := range servers {
+		if _, err := s.Invoke("noop", types.NilTransID, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
 	}
 }

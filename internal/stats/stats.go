@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"tabs/internal/simclock"
 )
@@ -116,30 +115,16 @@ func (c Counts) String() string {
 	return b.String()
 }
 
-// Recorder accumulates primitive counts per phase, charges a virtual clock
-// if one is attached, and is safe for concurrent use.
+// Recorder accumulates primitive counts per phase and is safe for
+// concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
 	counts [numPhases]Counts
 	phase  Phase
-	clock  *simclock.Clock
-	model  *simclock.CostModel
-	// extra accumulates modelled per-component CPU time (TABS process
-	// time, §5.2) in milliseconds, outside the primitive accounting.
-	extra float64
 }
 
-// NewRecorder returns a Recorder in the PreCommit phase with no clock.
+// NewRecorder returns a Recorder in the PreCommit phase.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-// AttachClock makes the recorder charge every recorded primitive's cost
-// under model to clock. Passing nil detaches.
-func (r *Recorder) AttachClock(clock *simclock.Clock, model *simclock.CostModel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = clock
-	r.model = model
-}
 
 // SetPhase switches the accounting scope for subsequent Record calls.
 func (r *Recorder) SetPhase(p Phase) {
@@ -163,30 +148,7 @@ func (r *Recorder) Record(p simclock.Primitive) { r.RecordN(p, 1) }
 func (r *Recorder) RecordN(p simclock.Primitive, n float64) {
 	r.mu.Lock()
 	r.counts[r.phase][p] += n
-	clock, model := r.clock, r.model
 	r.mu.Unlock()
-	if clock != nil && model != nil {
-		clock.Advance(time.Duration(float64(model.Cost(p)) * n))
-	}
-}
-
-// RecordProcessMillis adds modelled TABS system-process CPU time (ms),
-// which the paper reports separately from primitive-predicted time.
-func (r *Recorder) RecordProcessMillis(ms float64) {
-	r.mu.Lock()
-	r.extra += ms
-	clock, model := r.clock, r.model
-	r.mu.Unlock()
-	if clock != nil && model != nil {
-		clock.Advance(time.Duration(ms * float64(time.Millisecond)))
-	}
-}
-
-// ProcessMillis returns accumulated modelled process time in milliseconds.
-func (r *Recorder) ProcessMillis() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.extra
 }
 
 // Snapshot returns the accumulated counts for phase p.
@@ -203,15 +165,13 @@ func (r *Recorder) Total() Counts {
 	return r.counts[PreCommit].Add(r.counts[Commit])
 }
 
-// Reset zeroes all counts and modelled process time and returns the
-// recorder to the PreCommit phase.
+// Reset zeroes all counts and returns the recorder to the PreCommit phase.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.counts {
 		r.counts[i] = Counts{}
 	}
-	r.extra = 0
 	r.phase = PreCommit
 }
 
@@ -274,17 +234,6 @@ func (g *Registry) NamedCounts(p Phase) map[string]Counts {
 		out[n] = r.Snapshot(p)
 	}
 	return out
-}
-
-// TotalProcessMillis sums modelled process time across every recorder.
-func (g *Registry) TotalProcessMillis() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var total float64
-	for _, r := range g.recorders {
-		total += r.ProcessMillis()
-	}
-	return total
 }
 
 // SetPhaseAll switches every recorder to phase p.

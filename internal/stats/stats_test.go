@@ -3,7 +3,6 @@ package stats
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"tabs/internal/simclock"
 )
@@ -47,31 +46,6 @@ func TestCountsArithmetic(t *testing.T) {
 	}
 	if !((Counts{}).IsZero()) || a.IsZero() {
 		t.Error("IsZero broken")
-	}
-}
-
-func TestClockCharging(t *testing.T) {
-	r := NewRecorder()
-	clock := simclock.NewClock()
-	r.AttachClock(clock, simclock.PerqT2())
-	r.Record(simclock.StableWrite) // 79 ms
-	r.RecordN(simclock.Datagram, 0.5)
-	want := 79*time.Millisecond + 12500*time.Microsecond
-	if clock.Now() != want {
-		t.Errorf("clock %v, want %v", clock.Now(), want)
-	}
-}
-
-func TestProcessMillis(t *testing.T) {
-	r := NewRecorder()
-	r.RecordProcessMillis(36)
-	r.RecordProcessMillis(5)
-	if r.ProcessMillis() != 41 {
-		t.Errorf("process ms %v", r.ProcessMillis())
-	}
-	r.Reset()
-	if r.ProcessMillis() != 0 {
-		t.Error("reset left process time")
 	}
 }
 
