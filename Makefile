@@ -64,11 +64,16 @@ bench-smoke:
 	$(GO) test ./internal/bench -run TestMigrationSmoke -count=1 -timeout 120s
 	$(GO) run ./tools/allocgate -budget ALLOC_BUDGET.txt -bench 'AppendForce|EnvelopeEncode|LookUpCached' ./internal/wal ./internal/comm ./internal/nameserver
 
-# Short fuzz of the codecs that parse bytes off the disk or the wire: the
-# WAL record codec and the acp message and acceptor-state codecs. CI runs
-# the same invocation.
+# Short fuzz of the codecs that parse bytes off the disk or the wire — the
+# WAL record codec and the acp message and acceptor-state codecs — and of
+# the log force path: appends, forces, failed and torn forces and reopens
+# must read back exactly the forced prefix. Each FuzzForceReopen run drives
+# a whole log from format to reopen, so minimizing a new input is capped
+# at 200 runs; uncapped, minimization would use up the 10 s. CI runs the
+# same invocation.
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecordRoundTrip -fuzztime 10s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzForceReopen -fuzztime 10s -fuzzminimizetime 200x
 	$(GO) test ./internal/acp -run '^$$' -fuzz FuzzACPCodec -fuzztime 10s
 
 # Fixed-seed fault-injection torture runs (3 nodes, crashes + partitions +

@@ -35,7 +35,6 @@ type Request struct {
 	Op   string
 	TID  types.TransID
 	Body []byte
-	From types.NodeID // originating node, for remote requests
 }
 
 // DispatchFunc executes one operation and returns the response body.

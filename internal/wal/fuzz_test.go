@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
+	"tabs/internal/disk"
 	"tabs/internal/types"
 )
 
@@ -101,6 +104,131 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("frame round-trip mismatch:\n got %x\nwant %x", enc, data[:n])
+		}
+	})
+}
+
+// FuzzForceReopen drives a small circular log through a seeded sequence of
+// appends of random sizes, forces, forces that fail outright, forces torn
+// in their first sector, reclamations and crash-reopens. Each byte is one
+// step (an append takes the next byte as its body size). The invariants:
+// no force reads the disk; a reopen finds every forced record, intact and
+// in order, and beyond them at most a prefix of the records a failed
+// force had tried to write — nothing else.
+func FuzzForceReopen(f *testing.F) {
+	f.Add([]byte{0, 10, 2, 5})
+	f.Add([]byte{0, 10, 1, 200, 2, 5, 0, 3, 4, 2, 5})
+	f.Add([]byte{0, 90, 2, 0, 90, 3, 5, 0, 7, 4, 2, 5})
+	f.Add([]byte{0, 255, 2, 1, 255, 2, 6, 0, 255, 2, 6, 1, 180, 4, 5, 0, 30, 2, 5})
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		const sectors = 8
+		d := disk.New(disk.DefaultGeometry(sectors))
+		lg, err := Open(Config{Disk: d, Base: 0, Sectors: sectors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type rec struct {
+			lsn LSN
+			seq uint64
+			n   int
+		}
+		var (
+			durable, pending []rec
+			attempted        int // pending records a failed force may have written
+			seq              uint64
+			torn             bool
+		)
+		d.SetFaultHook(func(write bool, _ disk.Addr) disk.FaultAction {
+			if write && torn {
+				torn = false
+				return disk.FaultTorn
+			}
+			return disk.FaultNone
+		})
+		force := func() error {
+			reads, _ := d.Stats()
+			err := lg.Force(lg.NextLSN())
+			if after, _ := d.Stats(); after != reads {
+				t.Fatalf("force read %d sectors", after-reads)
+			}
+			return err
+		}
+		for i := 0; i < len(steps); i++ {
+			switch steps[i] % 7 {
+			case 0, 1: // append
+				n := 0
+				if i+1 < len(steps) {
+					i++
+					n = 3 * int(steps[i])
+				}
+				seq++
+				body := make([]byte, n)
+				for j := range body {
+					body[j] = byte(seq)
+				}
+				lsn, err := lg.Append(&Record{TID: types.TransID{Node: "n", Seq: seq}, Type: RecUpdate, Server: "s", Body: body})
+				if errors.Is(err, ErrLogFull) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, rec{lsn, seq, n})
+			case 2: // force
+				if err := force(); err != nil {
+					t.Fatal(err)
+				}
+				durable, pending, attempted = append(durable, pending...), nil, 0
+			case 3, 4: // failed force, torn force
+				if len(pending) == 0 {
+					continue
+				}
+				if steps[i]%7 == 3 {
+					d.FailNextWrites(1)
+				} else {
+					torn = true
+				}
+				if err := force(); err == nil {
+					t.Fatal("faulted force returned nil")
+				}
+				torn = false
+				attempted = len(pending)
+			case 5: // crash and reopen
+				if lg, err = Open(Config{Disk: d, Base: 0, Sectors: sectors}); err != nil {
+					t.Fatal(err)
+				}
+				var got []rec
+				if err := lg.ScanForward(0, func(r *Record) (bool, error) {
+					for _, b := range r.Body {
+						if b != byte(r.TID.Seq) {
+							return false, fmt.Errorf("record %d at %d: body byte %d", r.TID.Seq, r.LSN, b)
+						}
+					}
+					got = append(got, rec{r.LSN, r.TID.Seq, len(r.Body)})
+					return true, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) < len(durable) || len(got) > len(durable)+attempted {
+					t.Fatalf("reopen found %d records, want %d forced and at most %d more", len(got), len(durable), attempted)
+				}
+				want := append(durable, pending...)
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("reopened record %d is %+v, want %+v", j, got[j], want[j])
+					}
+				}
+				durable, pending, attempted = got, nil, 0
+			case 6: // reclaim half the forced records
+				if len(durable) == 0 {
+					continue
+				}
+				keep := durable[len(durable)/2:]
+				if err := lg.Reclaim(keep[0].lsn); err != nil {
+					t.Fatal(err)
+				}
+				durable = keep
+			}
 		}
 	})
 }

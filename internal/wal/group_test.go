@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -125,11 +126,13 @@ func TestAppendDoesNotBlockBehindForce(t *testing.T) {
 }
 
 // TestConcurrentCommitRacingReclaim races N committing goroutines against
-// a reclaimer trimming the log at acked record boundaries; every surviving
-// record must stay readable and the log prefix-consistent.
+// a reclaimer trimming the log at acked record boundaries and a backward
+// scanner; every surviving record must stay readable and the log
+// prefix-consistent, and a reopen must find the same records. Record sizes
+// vary so most forces start mid-sector, from the cached durable tail.
 func TestConcurrentCommitRacingReclaim(t *testing.T) {
 	const workers, perWorker = 6, 25
-	lg, _, _, _ := slowLog(t, 64, 0) // tiny log: reclamation matters
+	lg, d, _, _ := slowLog(t, 64, 0) // tiny log: reclamation matters
 
 	acked := make(chan LSN, workers*perWorker)
 	var wg sync.WaitGroup
@@ -137,7 +140,7 @@ func TestConcurrentCommitRacingReclaim(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			body := make([]byte, 300) // bulk so the 64-sector log needs reclaiming
+			body := make([]byte, 300+7*w) // bulk so the 64-sector log needs reclaiming
 			for i := 0; i < perWorker; i++ {
 				r := &Record{TID: tid(uint64(w*perWorker + i + 1)), Type: RecCommit, Body: body}
 				lsn, err := lg.AppendAndForce(r)
@@ -154,6 +157,21 @@ func TestConcurrentCommitRacingReclaim(t *testing.T) {
 			}
 		}(w)
 	}
+	scanStop, scanDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scanDone)
+		for {
+			select {
+			case <-scanStop:
+				return
+			default:
+			}
+			if err := lg.ScanBackward(lg.NextLSN(), func(*Record) (bool, error) { return true, nil }); err != nil {
+				t.Errorf("backward scan during commits: %v", err)
+				return
+			}
+		}
+	}()
 	reclaimDone := make(chan struct{})
 	go func() {
 		defer close(reclaimDone)
@@ -173,17 +191,31 @@ func TestConcurrentCommitRacingReclaim(t *testing.T) {
 	wg.Wait()
 	close(acked)
 	<-reclaimDone
+	close(scanStop)
+	<-scanDone
 
-	// Everything still retained must decode in ascending LSN order.
-	var prev LSN
-	if err := lg.ScanForward(lg.LowLSN(), func(r *Record) (bool, error) {
-		if r.LSN <= prev {
-			t.Errorf("scan order broken: %d after %d", r.LSN, prev)
+	// Everything still retained must decode in ascending LSN order, and
+	// a reopen must find exactly the same records.
+	scan := func(l *Log) []LSN {
+		var lsns []LSN
+		if err := l.ScanForward(l.LowLSN(), func(r *Record) (bool, error) {
+			if n := len(lsns); n > 0 && r.LSN <= lsns[n-1] {
+				t.Errorf("scan order broken: %d after %d", r.LSN, lsns[n-1])
+			}
+			lsns = append(lsns, r.LSN)
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		prev = r.LSN
-		return true, nil
-	}); err != nil {
+		return lsns
+	}
+	want := scan(lg)
+	lg2, err := Open(Config{Disk: d, Base: 0, Sectors: 64})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := scan(lg2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("reopened log holds %v, want %v", got, want)
 	}
 }
 

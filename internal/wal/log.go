@@ -55,6 +55,14 @@ type Log struct {
 	index    []LSN  // start LSNs of retained records, ascending
 	fullWarn bool
 
+	// tail is the durable content of the sector that holds durableLSN:
+	// the bytes below durableLSN, zero from it on (all zero when
+	// durableLSN is sector-aligned). A force starts its first page from
+	// it instead of reading the sector back. Only the flusher touches it
+	// (l.flushing guards it, with l.mu released), and recoverEnd while
+	// the log is being mounted.
+	tail [disk.SectorSize]byte
+
 	// Group-commit state. flushCond is signalled each time a flush
 	// generation completes (successfully or not); parked maps a waiting
 	// Force caller's token to its target LSN so the leader can size the
@@ -141,6 +149,8 @@ func Open(cfg Config) (*Log, error) {
 
 // recoverEnd scans forward from lowLSN validating checksums and embedded
 // LSNs until the stream stops making sense; that point is the durable end.
+// When the end falls mid-sector it loads that sector's durable prefix into
+// l.tail, so that no force has to read it back.
 //
 // Only a decode failure (ErrCorrupt: bad checksum, wrong embedded LSN,
 // nonsense length — what stale or torn sectors past the true end look
@@ -175,6 +185,13 @@ func (l *Log) recoverEnd() error {
 	l.durableLSN = lsn
 	l.nextLSN = lsn
 	l.buf = nil
+	if inSec := uint64(lsn) % disk.SectorSize; inSec != 0 {
+		addr, _ := l.sectorFor(lsn)
+		if _, err := l.d.Read(addr, l.tail[:]); err != nil {
+			return fmt.Errorf("wal: reading log tail sector at LSN %d: %w", lsn, err)
+		}
+		clear(l.tail[inSec:])
+	}
 	return nil
 }
 
@@ -368,13 +385,18 @@ func (l *Log) leadFlush() error {
 }
 
 // writeRange writes the log bytes [start, end) — supplied in data — to the
-// sectors that cover them. We force the entire pending region once any of
-// it must go (a page of log data is the force unit, §5.1). One call is one
-// Stable Storage Write primitive — "the elapsed time required for the
-// Recovery Manager to force a page of log data to non-volatile storage"
-// (§5.1) — regardless of how many sectors the records straddle or how many
-// committers share the batch. Safe without l.mu: at most one flusher runs
-// at a time (l.flushing), and nothing else writes log data sectors.
+// sectors that cover them, each sector once and none read: the first page
+// starts from l.tail (the durable bytes below start), later pages from
+// zero, and every page is zero past end. We force the entire pending
+// region once any of it must go (a page of log data is the force unit,
+// §5.1). One call is one Stable Storage Write primitive — "the elapsed
+// time required for the Recovery Manager to force a page of log data to
+// non-volatile storage" (§5.1) — regardless of how many sectors the
+// records straddle or how many committers share the batch. Only a fully
+// successful write advances l.tail, to the last page written; after a
+// failed or torn write it still holds the durable prefix, which a retry
+// rewrites. Safe without l.mu: at most one flusher runs at a time
+// (l.flushing), and nothing else writes log data sectors.
 func (l *Log) writeRange(start, end LSN, data []byte) error {
 	forceStart := time.Now()
 	sp := l.tr.Begin("wal", "force").Annotatef("bytes=%d", int64(end-start))
@@ -387,19 +409,13 @@ func (l *Log) writeRange(start, end LSN, data []byte) error {
 	}
 	firstSec := uint64(start) / disk.SectorSize
 	lastSec := (uint64(end) - 1) / disk.SectorSize
+	page := l.tail
 	for sec := firstSec; sec <= lastSec; sec++ {
-		var page [disk.SectorSize]byte
+		if sec > firstSec {
+			page = [disk.SectorSize]byte{}
+		}
 		secStart := LSN(sec * disk.SectorSize)
 		addr, _ := l.sectorFor(secStart)
-		// For the first sector, re-read the already-durable prefix from
-		// disk (read-modify-write).
-		if secStart < start {
-			if _, err := l.d.Read(addr, page[:]); err != nil {
-				err = fmt.Errorf("wal: read-modify-write of log page: %w", err)
-				sp.EndErr(err)
-				return err
-			}
-		}
 		// Fill the page from the overlap of this sector with [start, end).
 		lo, hi := secStart, secStart+disk.SectorSize
 		if lo < start {
@@ -414,6 +430,11 @@ func (l *Log) writeRange(start, end LSN, data []byte) error {
 			sp.EndErr(err)
 			return err
 		}
+	}
+	if uint64(end)%disk.SectorSize == 0 {
+		l.tail = [disk.SectorSize]byte{}
+	} else {
+		l.tail = page
 	}
 	if l.rec != nil {
 		l.rec.Record(simclock.StableWrite)

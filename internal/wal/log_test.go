@@ -321,6 +321,236 @@ func TestWrapKeepsLowWaterSector(t *testing.T) {
 	}
 }
 
+// TestForceWrapsPhysicalEnd forces a batch whose sector run starts in the
+// last physical sector of the region and ends in the first: the pages must
+// land on both sides of the wrap without a read, and every retained record
+// must read back before and after a reopen.
+func TestForceWrapsPhysicalEnd(t *testing.T) {
+	const sectors = 8
+	lg, d, _ := testLog(t, sectors)
+	data := uint64(sectors - 1)
+	body := make([]byte, 100)
+	var retained []LSN
+	// Walk the append point into the last physical sector, mid-sector.
+	for {
+		next := uint64(lg.NextLSN())
+		if next/disk.SectorSize%data == data-1 && next%disk.SectorSize != 0 {
+			break
+		}
+		lsn, err := lg.AppendAndForce(&Record{TID: tid(uint64(len(retained) + 1)), Type: RecUpdate, Server: "s", Body: body})
+		if errors.Is(err, ErrLogFull) {
+			retained = retained[len(retained)-1:]
+			if err := lg.Reclaim(retained[0]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained = append(retained, lsn)
+	}
+	retained = retained[len(retained)-1:]
+	if err := lg.Reclaim(retained[0]); err != nil {
+		t.Fatal(err)
+	}
+	start := uint64(lg.NextLSN())
+	lsn, err := lg.Append(&Record{TID: tid(999), Type: RecUpdate, Server: "s", Body: make([]byte, 2*disk.SectorSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained = append(retained, lsn)
+	end := uint64(lg.NextLSN())
+	if first, last := start/disk.SectorSize%data, (end-1)/disk.SectorSize%data; first != data-1 || last >= first {
+		t.Fatalf("force covers physical sectors %d..%d, want a run across the end", first, last)
+	}
+	readsBefore, _ := d.Stats()
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	if readsAfter, _ := d.Stats(); readsAfter != readsBefore {
+		t.Errorf("wrapping force read %d sectors", readsAfter-readsBefore)
+	}
+	lg2, err := Open(Config{Disk: d, Base: 0, Sectors: sectors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg2.NextLSN() != LSN(end) {
+		t.Errorf("reopened end %d, want %d", lg2.NextLSN(), end)
+	}
+	for _, l := range []*Log{lg, lg2} {
+		for _, at := range retained {
+			if _, err := l.ReadRecord(at); err != nil {
+				t.Fatalf("retained record at %d unreadable: %v", at, err)
+			}
+		}
+	}
+}
+
+// TestForceNeverReadsDisk: a force writes the sectors it covers and reads
+// none, even when it starts in the middle of a sector whose earlier bytes
+// are already durable, and the sector it ends in is zero past the end —
+// also after a force that ended exactly on a sector boundary.
+func TestForceNeverReadsDisk(t *testing.T) {
+	lg, d, _ := testLog(t, 64)
+	readsBefore, _ := d.Stats()
+	for i := 1; i <= 40; i++ {
+		r := &Record{TID: tid(uint64(i)), Type: RecUpdate, Server: "s"}
+		n := 7 * i
+		if i == 20 { // fill the sector to its last byte
+			n = int(disk.SectorSize-lg.NextLSN()%disk.SectorSize) - encodedSize(r) - 4
+			if n < 0 {
+				n += disk.SectorSize
+			}
+		}
+		r.Body = make([]byte, n)
+		if _, err := lg.AppendAndForce(r); err != nil {
+			t.Fatal(err)
+		}
+		if i == 20 && lg.NextLSN()%disk.SectorSize != 0 {
+			t.Fatalf("log end %d is not sector-aligned", lg.NextLSN())
+		}
+		zeroPastEnd(t, lg, d)
+	}
+	if reads, _ := d.Stats(); reads != readsBefore {
+		t.Errorf("40 forces read %d sectors, want 0", reads-readsBefore)
+	}
+}
+
+// zeroPastEnd requires the sector holding the log end to be zero from the
+// end on, so the log ends in a zero frame length. It inspects a snapshot,
+// which does not count as a disk read.
+func zeroPastEnd(t *testing.T, lg *Log, d *disk.Disk) {
+	t.Helper()
+	addr, inSec := lg.sectorFor(lg.NextLSN())
+	for i, b := range d.Snapshot()[addr].Data[inSec:] {
+		if b != 0 {
+			t.Fatalf("byte %d past the log end %d is %#x, want 0", i, lg.NextLSN(), b)
+		}
+	}
+}
+
+// appendBodies appends one update record per size, each body filled with
+// its record's sequence number, and returns their LSNs.
+func appendBodies(t *testing.T, lg *Log, seq uint64, sizes ...int) []LSN {
+	t.Helper()
+	var lsns []LSN
+	for _, n := range sizes {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(seq)
+		}
+		lsn, err := lg.Append(&Record{TID: tid(seq), Type: RecUpdate, Server: "s", Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+		seq++
+	}
+	return lsns
+}
+
+// checkRecords reopens the log on d and requires exactly the records at
+// lsns, in order, each with the body appendBodies gave it.
+func checkRecords(t *testing.T, d *disk.Disk, sectors int64, lsns []LSN) *Log {
+	t.Helper()
+	lg, err := Open(Config{Disk: d, Base: 0, Sectors: sectors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []LSN
+	if err := lg.ScanForward(0, func(r *Record) (bool, error) {
+		for _, b := range r.Body {
+			if b != byte(r.TID.Seq) {
+				return false, fmt.Errorf("record %d at %d: body byte %d", r.TID.Seq, r.LSN, b)
+			}
+		}
+		got = append(got, r.LSN)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(lsns) {
+		t.Fatalf("reopened log holds records %v, want %v", got, lsns)
+	}
+	return lg
+}
+
+// TestReopenMidSectorKeepsPrefix: a log reopened with its end in the middle
+// of a sector must rebuild the durable prefix of that sector, or the next
+// force would overwrite the earlier records in it.
+func TestReopenMidSectorKeepsPrefix(t *testing.T) {
+	const sectors = 64
+	lg, d, _ := testLog(t, sectors)
+	lsns := appendBodies(t, lg, 1, 30, 40)
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	// Leave garbage past the end, as a torn write of a lost batch would.
+	snap := d.Snapshot()
+	addr, inSec := lg.sectorFor(lg.NextLSN())
+	for i := inSec; i < disk.SectorSize; i++ {
+		snap[addr].Data[i] = 0xA5
+	}
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	lg = checkRecords(t, d, sectors, lsns)
+	if lg.NextLSN()%disk.SectorSize == 0 {
+		t.Fatalf("log end %d is sector-aligned; the test needs it mid-sector", lg.NextLSN())
+	}
+	lsns = append(lsns, appendBodies(t, lg, 3, 50)...)
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	zeroPastEnd(t, lg, d)
+	lg = checkRecords(t, d, sectors, lsns)
+	// Once more, with the new batch spilling into the next sector.
+	lsns = append(lsns, appendBodies(t, lg, 4, 600)...)
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, d, sectors, lsns)
+}
+
+// TestFailedAndTornForceKeepTail: a force that fails outright, and one torn
+// in the first sector it writes, leave the durable prefix of that sector
+// intact; the retry rewrites it and every record reads back after a reopen.
+func TestFailedAndTornForceKeepTail(t *testing.T) {
+	const sectors = 64
+	lg, d, _ := testLog(t, sectors)
+	// A durable prefix longer than the torn half of the sector.
+	lsns := appendBodies(t, lg, 1, 150, 150)
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	firstSec, _ := lg.sectorFor(lg.DurableLSN())
+	lsns = append(lsns, appendBodies(t, lg, 3, 20, 700)...)
+
+	d.FailNextWrites(1)
+	if err := lg.Force(lg.NextLSN()); err == nil {
+		t.Fatal("force with a failed write returned nil")
+	}
+	torn := false
+	d.SetFaultHook(func(write bool, addr disk.Addr) disk.FaultAction {
+		if write && addr == firstSec && !torn {
+			torn = true
+			return disk.FaultTorn
+		}
+		return disk.FaultNone
+	})
+	if err := lg.Force(lg.NextLSN()); err == nil || !torn {
+		t.Fatalf("torn force: err %v, torn %v", err, torn)
+	}
+	d.SetFaultHook(nil)
+	checkRecords(t, d, sectors, lsns[:2])
+
+	if err := lg.Force(lg.NextLSN()); err != nil {
+		t.Fatalf("retry after failed and torn forces: %v", err)
+	}
+	checkRecords(t, d, sectors, lsns)
+}
+
 func TestCheckpointAnchorPersists(t *testing.T) {
 	lg, d, _ := testLog(t, 64)
 	lsn, err := lg.AppendAndForce(&Record{Type: RecCheckpoint, Body: EncodeCheckpoint(&CheckpointBody{RedoLSN: firstLSN})})
